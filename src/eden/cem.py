@@ -54,12 +54,8 @@ class GoalPlane:
     z_index: int
     target_p: np.ndarray  # [X][Y]
 
-    def to_dict(self) -> dict:
-        return {"z_index": self.z_index, "target_p": self.target_p.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GoalPlane":
-        return cls(z_index=int(d["z_index"]), target_p=np.array(d["target_p"], dtype=np.float64))
+    def __post_init__(self):
+        self.target_p = np.asarray(self.target_p, dtype=np.float64)
 
 
 @dataclass
@@ -90,26 +86,32 @@ def transfer(p_val: float, w_val: float, dr: float) -> float:
     return max(0.0, 1.0 / (1.0 + math.exp(-(p_val * w_val))) - dr)
 
 
+@dataclass(eq=False)
 class PwrTensor:
     """Propagation, Weight and Router lattices plus the per-plane energy accumulator."""
 
-    def __init__(self, dim_xy: int, dim_z: int,
-                 p: Optional[np.ndarray] = None,
-                 w: Optional[np.ndarray] = None,
-                 r: Optional[np.ndarray] = None):
+    dim_xy: int
+    dim_z: int
+    p: Optional[np.ndarray] = None
+    w: Optional[np.ndarray] = None
+    r: Optional[np.ndarray] = None
+    plane_energy_acc: Optional[np.ndarray] = None
+    last_trace: Optional[PropagationTrace] = field(default=None, init=False)
+
+    def __post_init__(self):
+        dim_xy, dim_z = self.dim_xy, self.dim_z
         if dim_xy < 1 or dim_z < 1:
             raise StructureError(f"tensor dims must be >= 1, got {dim_xy}x{dim_xy}x{dim_z}")
-        self.dim_xy = dim_xy
-        self.dim_z = dim_z
         shape = (dim_xy, dim_xy, dim_z)
-        self.p = np.zeros(shape) if p is None else np.asarray(p, dtype=np.float64)
-        self.w = np.ones(shape) if w is None else np.asarray(w, dtype=np.float64)
-        self.r = np.full(shape, CENTER, dtype=np.int8) if r is None else np.asarray(r, dtype=np.int8)
+        self.p = np.zeros(shape) if self.p is None else np.asarray(self.p, dtype=np.float64)
+        self.w = np.ones(shape) if self.w is None else np.asarray(self.w, dtype=np.float64)
+        self.r = (np.full(shape, CENTER, dtype=np.int8) if self.r is None
+                  else np.asarray(self.r, dtype=np.int8))
         for name, arr in (("p", self.p), ("w", self.w), ("r", self.r)):
             if arr.shape != shape:
                 raise StructureError(f"{name} lattice shape {arr.shape} != {shape}")
-        self.plane_energy_acc = np.zeros(dim_z)
-        self.last_trace: Optional[PropagationTrace] = None
+        self.plane_energy_acc = (np.zeros(dim_z) if self.plane_energy_acc is None
+                                 else np.asarray(self.plane_energy_acc, dtype=np.float64))
 
     @classmethod
     def random(cls, dim_xy: int, dim_z: int, rng) -> "PwrTensor":
@@ -245,24 +247,3 @@ class PwrTensor:
         for (x, y, z), g in grad_w.items():
             self.w[x, y, z] = min(1.0, max(0.0, self.w[x, y, z] - learning_rate * g))
         return loss
-
-    # -- persistence -------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "dim_xy": self.dim_xy,
-            "dim_z": self.dim_z,
-            "p": self.p.tolist(),
-            "w": self.w.tolist(),
-            "r": self.r.tolist(),
-            "plane_energy_acc": self.plane_energy_acc.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PwrTensor":
-        t = cls(int(d["dim_xy"]), int(d["dim_z"]),
-                p=np.array(d["p"], dtype=np.float64),
-                w=np.array(d["w"], dtype=np.float64),
-                r=np.array(d["r"], dtype=np.int8))
-        t.plane_energy_acc = np.array(d["plane_energy_acc"], dtype=np.float64)
-        return t

@@ -16,8 +16,9 @@ import json
 import random
 import sys
 
+from .codec import decode
 from .config import ConfigError, EngineConfig
-from .runner import InputProbe, OutputProbe, run_epoch
+from .runner import OutputProbe, input_probe_from_spec, run_epoch
 from . import store
 
 EXIT_OK = 0
@@ -39,7 +40,7 @@ def _load_state(path: str):
     try:
         return store.load(path)
     except store.SaveStateError as exc:
-        code = EXIT_MISSING if "not found" in str(exc) else EXIT_SCHEMA
+        code = EXIT_MISSING if isinstance(exc.__cause__, FileNotFoundError) else EXIT_SCHEMA
         raise CliError(code, str(exc)) from exc
 
 
@@ -54,19 +55,10 @@ def _attach_pattern(entity, pattern_path: str) -> None:
     if isinstance(data, list):
         data = {"input_probes": data}
     try:
-        entity.input_probes = [
-            InputProbe(probe_id=int(spec["probe_id"]),
-                       position=tuple(float(c) for c in spec["position"]),
-                       frames=spec["frames"],
-                       cursor=int(spec.get("cursor", 0)),
-                       noise=float(spec.get("noise", 0.0)))
-            for spec in data.get("input_probes", [])]
-        entity.output_probes = [
-            OutputProbe(probe_id=int(spec["probe_id"]),
-                        position=tuple(float(c) for c in spec["position"]),
-                        radius=float(spec["radius"]),
-                        history=list(spec.get("history", [])))
-            for spec in data.get("output_probes", [])]
+        entity.input_probes = [input_probe_from_spec(spec)
+                               for spec in data.get("input_probes", [])]
+        entity.output_probes = [decode(OutputProbe, {"history": [], **spec})
+                                for spec in data.get("output_probes", [])]
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(EXIT_SCHEMA, f"invalid pattern file: {exc}") from exc
 

@@ -1,0 +1,72 @@
+"""The one save-state codec.
+
+A type's persisted state is its dataclass init fields; runtime-only attributes
+are ``init=False`` and never written. ``decode`` calls the constructor, so
+``__post_init__`` coercion and validation run on every load, and every key
+must be present. Fields convert by annotation; field metadata covers the
+irregular ones: ``"key"`` renames the JSON key and ``"codec"`` gives an
+``(encode, decode)`` pair, where a ``None`` decoder marks a reference the
+caller passes to ``decode`` by field name. Each class's converter plan is
+built once and cached, so saving does no per-value type dispatch.
+"""
+from __future__ import annotations
+
+import dataclasses
+import functools
+import typing
+
+import numpy as np
+
+
+def encode(obj) -> dict:
+    return {key: enc(getattr(obj, name)) for name, key, enc, _ in _plan(type(obj))}
+
+
+def decode(cls, data: dict, **refs):
+    return cls(**{name: refs[name] if dec is None else dec(data[key])
+                  for name, key, _, dec in _plan(cls)})
+
+
+@functools.cache
+def _plan(cls) -> tuple:
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, f.metadata.get("key", f.name),
+                  *(f.metadata.get("codec") or _converters(hints[f.name])))
+                 for f in dataclasses.fields(cls) if f.init)
+
+
+def _identity(value):
+    return value
+
+
+def _optional(conv):
+    return lambda v: None if v is None else conv(v)
+
+
+@functools.cache
+def _converters(tp) -> tuple:
+    """The (encode, decode) pair for one field annotation."""
+    if dataclasses.is_dataclass(tp):
+        return encode, functools.partial(decode, tp)
+    if tp is float:
+        return float, float
+    if tp in (int, bool, dict):  # a bare dict holds free-form JSON, copied on load
+        return _identity, tp
+    if tp in (str, list):  # a bare list holds free-form JSON
+        return _identity, _identity
+    if tp is np.ndarray:  # the constructor fixes the dtype
+        return np.ndarray.tolist, _identity
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is typing.Union and len(args) == 2 and type(None) in args:
+        enc, dec = _converters(next(a for a in args if a is not type(None)))
+        return _optional(enc), _optional(dec)
+    if origin is set:
+        enc, dec = _converters(args[0])
+        return (lambda v: sorted(enc(x) for x in v)), (lambda v: {dec(x) for x in v})
+    if origin in (list, tuple):
+        enc, dec = _converters(args[0])
+        return (lambda v: [enc(x) for x in v]), (lambda v: origin([dec(x) for x in v]))
+    if origin is dict and args == (int, str):  # JSON object keys are strings
+        return (lambda v: {str(k): x for k, x in v.items()},
+                lambda v: {int(k): x for k, x in v.items()})
+    raise TypeError(f"no save-state converter for {tp!r}")

@@ -10,6 +10,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+from .codec import decode, encode
+
 TRANSMITTER = "transmitter"
 ARCHITECTOR = "architector"
 
@@ -28,43 +30,41 @@ class TransArchPayload:
     ttl: int
     properties: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "pid": self.pid,
-            "kind": self.kind,
-            "index": self.index,
-            "position": [float(c) for c in self.position],
-            "magnitude": float(self.magnitude),
-            "ttl": self.ttl,
-            "properties": dict(sorted(self.properties.items())),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TransArchPayload":
-        return cls(pid=int(d["pid"]), kind=d["kind"], index=int(d["index"]),
-                   position=tuple(float(c) for c in d["position"]),
-                   magnitude=float(d["magnitude"]), ttl=int(d["ttl"]),
-                   properties=dict(d["properties"]))
-
 
 def _dist(a, b) -> float:
     return math.sqrt(sum((ai - bi) ** 2 for ai, bi in zip(a, b)))
 
 
+def _encode_payloads(payloads: dict) -> list:
+    return [encode(payloads[pid]) for pid in sorted(payloads)]
+
+
+def _decode_payloads(items: list) -> dict:
+    return {pl.pid: pl for pl in (decode(TransArchPayload, d) for d in items)}
+
+
+@dataclass(eq=False)
 class NeuralGrid:
-    def __init__(self, bounds_min, bounds_max, cell_size: float = 2.0):
-        self.bounds_min = tuple(float(c) for c in bounds_min)
-        self.bounds_max = tuple(float(c) for c in bounds_max)
-        self.cell_size = float(cell_size)
-        self.payloads: dict[int, TransArchPayload] = {}
-        self._next_pid = 0
-        self._pending_deposits: list[TransArchPayload] = []
-        self._pending_removals: list[int] = []
-        self._cells: dict[tuple[int, int, int], list[int]] = {}
-        # per-epoch counters, read and reset by the epoch runner
-        self.deposited_count = 0
-        self.consumed_count = 0
-        self.expired_count = 0
+    bounds_min: tuple[float, float, float]
+    bounds_max: tuple[float, float, float]
+    cell_size: float = 2.0
+    next_pid: int = 0
+    # stored as the payloads in pid order
+    payloads: dict[int, TransArchPayload] = field(
+        default_factory=dict, metadata={"codec": (_encode_payloads, _decode_payloads)})
+    _pending_deposits: list[TransArchPayload] = field(default_factory=list, init=False)
+    _pending_removals: list[int] = field(default_factory=list, init=False)
+    _cells: dict[tuple[int, int, int], list[int]] = field(default_factory=dict, init=False)
+    # per-epoch counters, read and reset by the epoch runner
+    deposited_count: int = field(default=0, init=False)
+    consumed_count: int = field(default=0, init=False)
+    expired_count: int = field(default=0, init=False)
+
+    def __post_init__(self):
+        self.bounds_min = tuple(float(c) for c in self.bounds_min)
+        self.bounds_max = tuple(float(c) for c in self.bounds_max)
+        self.cell_size = float(self.cell_size)
+        self._rebuild_index()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -79,11 +79,11 @@ class NeuralGrid:
                     ttl: int, properties: Optional[dict] = None) -> TransArchPayload:
         if magnitude <= 0:
             raise GridError(f"payload magnitude must be > 0, got {magnitude}")
-        pl = TransArchPayload(pid=self._next_pid, kind=kind, index=index,
+        pl = TransArchPayload(pid=self.next_pid, kind=kind, index=index,
                               position=tuple(float(c) for c in position),
                               magnitude=float(magnitude), ttl=int(ttl),
                               properties=dict(properties or {}))
-        self._next_pid += 1
+        self.next_pid += 1
         return pl
 
     def deposit(self, payload: TransArchPayload) -> None:
@@ -156,16 +156,6 @@ class NeuralGrid:
                 grad[i] += k * delta[i] * inv_s2
         return tuple(grad)
 
-    def density(self, pos, index: int, sigma: float = 1.0) -> float:
-        total = 0.0
-        inv_s2 = 1.0 / (sigma * sigma)
-        for pl in self.payloads.values():
-            if pl.index != index:
-                continue
-            d2 = sum((pc - c) ** 2 for pc, c in zip(pl.position, pos))
-            total += pl.magnitude * math.exp(-0.5 * d2 * inv_s2)
-        return total
-
     # -- aging -------------------------------------------------------------
 
     def decay_and_expire(self, decay_factor: float, epsilon_magnitude: float = 1e-6) -> int:
@@ -184,24 +174,3 @@ class NeuralGrid:
         self.expired_count += len(dead)
         self._rebuild_index()
         return len(dead)
-
-    # -- persistence -------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "bounds_min": list(self.bounds_min),
-            "bounds_max": list(self.bounds_max),
-            "cell_size": self.cell_size,
-            "next_pid": self._next_pid,
-            "payloads": [self.payloads[pid].to_dict() for pid in sorted(self.payloads)],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NeuralGrid":
-        g = cls(d["bounds_min"], d["bounds_max"], cell_size=float(d["cell_size"]))
-        g._next_pid = int(d["next_pid"])
-        for pd in d["payloads"]:
-            pl = TransArchPayload.from_dict(pd)
-            g.payloads[pl.pid] = pl
-        g._rebuild_index()
-        return g

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .cem import PwrTensor, SpikeEvent
+from .codec import decode
 from .config import EngineConfig
 from .functome import (Functome, StructuralChange, execute_action, mutate,
                        random_gene, scan_available_actions)
@@ -38,15 +39,10 @@ class InputProbe:
     cursor: int = 0
     noise: float = 0.0  # uniform relative jitter applied to magnitudes
 
-    def to_dict(self) -> dict:
-        return {"probe_id": self.probe_id, "position": [float(c) for c in self.position],
-                "frames": self.frames, "cursor": self.cursor, "noise": float(self.noise)}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "InputProbe":
-        return cls(probe_id=int(d["probe_id"]),
-                   position=tuple(float(c) for c in d["position"]),
-                   frames=d["frames"], cursor=int(d["cursor"]), noise=float(d["noise"]))
+def input_probe_from_spec(spec: dict) -> InputProbe:
+    """An input probe from a pattern-file or rule spec; cursor and noise are optional."""
+    return decode(InputProbe, {"cursor": 0, "noise": 0.0, **spec})
 
 
 @dataclass
@@ -54,17 +50,7 @@ class OutputProbe:
     probe_id: int
     position: tuple[float, float, float]
     radius: float
-    history: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {"probe_id": self.probe_id, "position": [float(c) for c in self.position],
-                "radius": float(self.radius), "history": [float(h) for h in self.history]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "OutputProbe":
-        return cls(probe_id=int(d["probe_id"]),
-                   position=tuple(float(c) for c in d["position"]),
-                   radius=float(d["radius"]), history=list(d["history"]))
+    history: list[float] = field(default_factory=list)
 
 
 @dataclass
@@ -142,7 +128,7 @@ def _build_node(entity: Entity, functome: Functome, soma,
     cfg = entity.config
     rng = entity.rng
     cem = PwrTensor.random(cfg.dim_xy, cfg.dim_z, rng)
-    node = ProcessNode(node_id=entity.allocate_node_id(), soma_position=soma,
+    node = ProcessNode(id=entity.allocate_node_id(), soma_position=soma,
                        cem=cem, min_e=cfg.min_e, dr=cfg.dr, functome=functome,
                        at_mod=cfg.at_mod)
     lo, hi = cfg.bounds_min, cfg.bounds_max
@@ -227,11 +213,11 @@ def propagate_phase(entity: Entity) -> dict[int, list[SpikeEvent]]:
         deposits, consumed = node.collect_inputs(entity.grid, claimed)
         for pid in consumed:
             entity.grid.remove(pid)
-        spike = node.step(deposits, rng, epoch, cfg.learning_rate,
+        spike = node.step(deposits, epoch, cfg.learning_rate,
                           cfg.goal_refresh_threshold)
         if spike is not None:
             spikes.setdefault(nid, []).append(spike)
-            for pl in node.emit_payloads(spike, entity.grid, rng,
+            for pl in node.emit_payloads(spike, entity.grid,
                                          cfg.architector_sigma, cfg.payload_ttl):
                 entity.grid.deposit(pl)
     entity.grid.commit()

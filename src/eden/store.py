@@ -3,8 +3,9 @@
 Save states are canonical JSON (`*.eden.json`): stable key order, shortest
 round-trip decimals, format_version gate. Saving, loading and saving again is
 a byte fixpoint, and the serialized RNG state makes resumed runs bit-identical
-to uninterrupted ones. The session log (`*.session.jsonl`) is append-only,
-one record per epoch.
+to uninterrupted ones. A type's persisted state is its dataclass init fields,
+written and read by `eden.codec`; runtime-only attributes are `init=False`.
+The session log (`*.session.jsonl`) is append-only, one record per epoch.
 """
 from __future__ import annotations
 
@@ -13,12 +14,13 @@ import os
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .codec import decode, encode
 from .config import EngineConfig
 from .functome import Functome
 from .grid import TRANSMITTER, NeuralGrid
 from .node import ProcessNode
 from .runner import (Entity, EpochReport, InputProbe, OutputProbe,
-                     rng_state_from_json, rng_state_to_json)
+                     input_probe_from_spec, rng_state_from_json, rng_state_to_json)
 
 FORMAT_VERSION = 1
 
@@ -33,13 +35,12 @@ def entity_to_dict(entity: Entity) -> dict:
         "entity_clock": entity.entity_clock,
         "next_node_id": entity.next_node_id,
         "next_functome_id": entity.next_functome_id,
-        "grid": entity.grid.to_dict(),
-        "functomes": [entity.functomes[fid].to_dict()
-                      for fid in sorted(entity.functomes)],
-        "nodes": [entity.nodes[nid].to_dict() for nid in sorted(entity.nodes)],
-        "input_probes": [p.to_dict() for p in
+        "grid": encode(entity.grid),
+        "functomes": [encode(entity.functomes[fid]) for fid in sorted(entity.functomes)],
+        "nodes": [encode(entity.nodes[nid]) for nid in sorted(entity.nodes)],
+        "input_probes": [encode(p) for p in
                          sorted(entity.input_probes, key=lambda p: p.probe_id)],
-        "output_probes": [p.to_dict() for p in
+        "output_probes": [encode(p) for p in
                           sorted(entity.output_probes, key=lambda p: p.probe_id)],
     }
 
@@ -50,18 +51,18 @@ def entity_from_dict(data: dict) -> Entity:
     entity.entity_clock = int(data["entity_clock"])
     entity.next_node_id = int(data["next_node_id"])
     entity.next_functome_id = int(data["next_functome_id"])
-    entity.grid = NeuralGrid.from_dict(data["grid"])
+    entity.grid = decode(NeuralGrid, data["grid"])
     for fd in data["functomes"]:
-        functome = Functome.from_dict(fd)
+        functome = decode(Functome, fd)
         entity.functomes[functome.fid] = functome
     for nd in data["nodes"]:
         fid = int(nd["functome_id"])
         if fid not in entity.functomes:
             raise SaveStateError(f"node {nd['id']} references unknown functome {fid}")
-        node = ProcessNode.from_dict(nd, entity.functomes[fid])
+        node = decode(ProcessNode, nd, functome=entity.functomes[fid])
         entity.nodes[node.id] = node
-    entity.input_probes = [InputProbe.from_dict(p) for p in data["input_probes"]]
-    entity.output_probes = [OutputProbe.from_dict(p) for p in data["output_probes"]]
+    entity.input_probes = [decode(InputProbe, p) for p in data["input_probes"]]
+    entity.output_probes = [decode(OutputProbe, p) for p in data["output_probes"]]
     return entity
 
 
@@ -206,12 +207,7 @@ class EnvironmentControlRule:
         e = self.effect
         kind = e["type"]
         if kind == "add_input_probe":
-            spec = e["probe"]
-            entity.input_probes.append(InputProbe(
-                probe_id=int(spec["probe_id"]),
-                position=tuple(float(c) for c in spec["position"]),
-                frames=spec["frames"], cursor=int(spec.get("cursor", 0)),
-                noise=float(spec.get("noise", 0.0))))
+            entity.input_probes.append(input_probe_from_spec(e["probe"]))
         elif kind == "remove_input_probe":
             entity.input_probes = [p for p in entity.input_probes
                                    if p.probe_id != e["probe_id"]]

@@ -8,6 +8,7 @@ import pytest
 
 from eden.cem import (CENTER, ROUTER_OPTIONS, DepositError, GoalPlane,
                       PwrTensor, StructureError, transfer)
+from eden.codec import decode, encode
 
 
 def sigmoid_oracle(v):
@@ -254,7 +255,7 @@ class TestReset:
 
 def run_loss(tensor_dict, deposits, goal, dr):
     """Forward from a clean state, then squared error at the goal plane."""
-    t = PwrTensor.from_dict(tensor_dict)
+    t = decode(PwrTensor, tensor_dict)
     t.p.fill(0.0)
     t.plane_energy_acc.fill(0.0)
     t.forward_propagate(deposits, 1e18, dr)
@@ -303,7 +304,7 @@ class TestBackprop:
         t.forward_propagate(deposits, 1e18, 0.0)
         goal = GoalPlane(z_index=2, target_p=np.array([[3.0]]))
         _, grads = t.goal_loss_gradients(goal, t.last_trace, 0.0)
-        snapshot = t.to_dict()
+        snapshot = encode(t)
         h = 1e-6
         for (x, y, z), g in grads.items():
             plus = copy.deepcopy(snapshot)
@@ -318,7 +319,7 @@ class TestBackprop:
         for seed in range(10):
             t, deposits, goal = self._setup(seed, dim_xy=3, dim_z=4)
             _, grads = t.goal_loss_gradients(goal, t.last_trace, 0.05)
-            snapshot = t.to_dict()
+            snapshot = encode(t)
             h = 1e-6
             for (x, y, z), g in list(grads.items())[:6]:
                 plus = copy.deepcopy(snapshot)
@@ -349,7 +350,7 @@ class TestDeterminism:
                 if spike is not None:
                     t.update_routers_on_spike(spike)
                     t.reset_propagation()
-            states.append(t.to_dict())
+            states.append(encode(t))
         assert states[0] == states[1]
 
 

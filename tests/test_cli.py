@@ -148,6 +148,24 @@ class TestInspect:
         assert "nodes        : 3" in out
         assert "node 0:" in out
 
+    def test_exit_code_follows_the_error_not_its_path(self, tmp_path, state_path):
+        # the message names the path, which here contains "not found"
+        doc = json.load(open(state_path))
+        doc["format_version"] = 99
+        folder = tmp_path / "not found"
+        folder.mkdir()
+        path = folder / "entity.eden.json"
+        path.write_text(json.dumps(doc))
+        assert main(["inspect", "--state", str(path)]) == EXIT_SCHEMA
+        assert main(["inspect", "--state", str(folder / "none.eden.json")]) == EXIT_MISSING
+
+    def test_missing_key_is_schema_error(self, tmp_path, state_path):
+        doc = json.load(open(state_path))
+        del doc["entity"]["nodes"][0]["spike_var"]  # a field with a default
+        path = tmp_path / "entity.eden.json"
+        path.write_text(json.dumps(doc))
+        assert main(["inspect", "--state", str(path)]) == EXIT_SCHEMA
+
 
 class TestExportMetrics:
     def test_csv_shape(self, tmp_path, state_path):

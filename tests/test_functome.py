@@ -1,8 +1,10 @@
 """Tests for the genetic layer: genes, prerequisites, mutation, hashes, actions."""
+import logging
 import random
 
 import pytest
 
+from eden.codec import decode, encode
 from eden.config import EngineConfig
 from eden.functome import (ACTION_PARAM_KEYS, ACTIONS, PREREQ_PARAM_KEYS,
                            PREREQUISITES, ActionGene, Functome, GeneError,
@@ -111,6 +113,19 @@ class TestPrerequisites:
         assert not check_prerequisite(gene, node, entity.grid, 0, 2.0)
         assert not check_prerequisite(gene, node, entity.grid, 0, 2.0)
 
+    def test_missing_params_scan_leaves_genome_unchanged(self, caplog):
+        entity, node = fresh_node()
+        gene = self._gene("TransmitterPresent")  # no index param
+        node.functome.genes = [gene]
+        before = functome_hash(node.functome)
+        with caplog.at_level(logging.WARNING, logger="eden.functome"):
+            for _ in range(3):
+                assert scan_available_actions(node, entity.grid, 0, 2.0) == []
+        assert gene.params == {}
+        assert functome_hash(node.functome) == before
+        assert [r.getMessage() for r in caplog.records] == [
+            "gene Apoptosis/TransmitterPresent missing params ['index']; will never fire"]
+
     def test_scan_skips_disabled_genes(self):
         entity, node = fresh_node()
         node.functome.genes = [
@@ -185,8 +200,8 @@ class TestHashes:
     def test_functome_hash_ignores_fid(self):
         rng = random.Random(7)
         genes = [random_gene(rng, 8, 4) for _ in range(3)]
-        a = Functome(fid=0, genes=[ActionGene.from_dict(g.to_dict()) for g in genes])
-        b = Functome(fid=99, genes=[ActionGene.from_dict(g.to_dict()) for g in genes])
+        a = Functome(fid=0, genes=[decode(ActionGene, encode(g)) for g in genes])
+        b = Functome(fid=99, genes=[decode(ActionGene, encode(g)) for g in genes])
         assert functome_hash(a) == functome_hash(b)
 
     def test_node_hash_tracks_morphology(self):
@@ -277,6 +292,6 @@ class TestPersistence:
         f = Functome(fid=5, genes=[random_gene(rng, 8, 4) for _ in range(4)],
                      mutation_rate=0.25, locked=True, lineage=[1, 3],
                      metadata={"note": "x"})
-        g = Functome.from_dict(f.to_dict())
-        assert g.to_dict() == f.to_dict()
+        g = decode(Functome, encode(f))
+        assert encode(g) == encode(f)
         assert functome_hash(g) == functome_hash(f)

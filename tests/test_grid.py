@@ -4,7 +4,10 @@ import random
 
 import pytest
 
+from eden.codec import decode, encode
 from eden.grid import ARCHITECTOR, TRANSMITTER, GridError, NeuralGrid
+
+from test_acceptance import density
 
 
 def make_grid(cell_size=2.0):
@@ -118,8 +121,8 @@ class TestDensityGradient:
                 plus[axis] += h
                 minus = list(pos)
                 minus[axis] -= h
-                fd = (g.density(tuple(plus), 1, 1.5)
-                      - g.density(tuple(minus), 1, 1.5)) / (2 * h)
+                fd = (density(g, tuple(plus), 1, 1.5)
+                      - density(g, tuple(minus), 1, 1.5)) / (2 * h)
                 assert grad[axis] == pytest.approx(fd, abs=1e-6)
 
 
@@ -177,7 +180,7 @@ class TestPersistence:
         g.deposit(g.new_payload(ARCHITECTOR, 0, (4, 5, 6), 0.5, 2,
                                 properties={"target_action": "Apoptosis"}))
         g.commit()
-        g2 = NeuralGrid.from_dict(g.to_dict())
-        assert g2.to_dict() == g.to_dict()
+        g2 = decode(NeuralGrid, encode(g))
+        assert encode(g2) == encode(g)
         assert [pl.pid for pl in g2.query_radius((1, 2, 3), 0.5)] == \
                [pl.pid for pl in g.query_radius((1, 2, 3), 0.5)]
