@@ -18,7 +18,7 @@ import sys
 
 from .codec import decode
 from .config import ConfigError, EngineConfig
-from .runner import OutputProbe, input_probe_from_spec, run_epoch
+from .runner import OutputProbe, check_input_probe, input_probe_from_spec, run_epoch
 from . import store
 
 EXIT_OK = 0
@@ -102,10 +102,18 @@ def cmd_train(args) -> int:
         entity.rng = random.Random(args.seed_override)
     if args.pattern:
         _attach_pattern(entity, args.pattern)
+    # reject what would fail mid-run before the first epoch, so nothing is lost
+    try:
+        for probe in entity.input_probes:
+            check_input_probe(probe)
+    except ValueError as exc:
+        raise CliError(EXIT_SCHEMA, f"invalid input probe: {exc}")
     rules = None
     if args.rules:
         try:
             rules = store.load_rules(args.rules)
+            for rule in rules:
+                rule.check(entity.grid)
         except FileNotFoundError:
             raise CliError(EXIT_MISSING, f"rules file not found: {args.rules}")
         except (store.RuleError, json.JSONDecodeError) as exc:

@@ -1,8 +1,17 @@
 """The shared 3D environment holding transmitter/architector payloads.
 
-Continuous coordinates with a uniform-cell spatial hash. All mutations are
-staged and applied at an explicit commit barrier so that every query between
-two commits sees the same frozen state.
+Continuous coordinates; the pid-keyed payload dict is the single source of
+truth, and the save state and tracing read it. Deposits and removals are
+staged and applied at an explicit commit barrier, so every query between two
+commits sees the same frozen state. Payloads change only in `commit` and
+`decay_and_expire`, and both end in `_rebuild_index`, which derives what the
+queries read from that frozen state: uniform-cell buckets of positions,
+per-index lists of (position, magnitude) and an empty `query_radius` memo.
+
+Queries keep the arithmetic of the plain definitions bit for bit: `math.exp`
+and sequential pid-order accumulation in the gradient, `(a - c) ** 2` in the
+radius distance. Trajectories are compared by digest, so one ulp of drift in
+either query changes a run.
 """
 from __future__ import annotations
 
@@ -31,10 +40,6 @@ class TransArchPayload:
     properties: dict = field(default_factory=dict)
 
 
-def _dist(a, b) -> float:
-    return math.sqrt(sum((ai - bi) ** 2 for ai, bi in zip(a, b)))
-
-
 def _encode_payloads(payloads: dict) -> list:
     return [encode(payloads[pid]) for pid in sorted(payloads)]
 
@@ -54,7 +59,11 @@ class NeuralGrid:
         default_factory=dict, metadata={"codec": (_encode_payloads, _decode_payloads)})
     _pending_deposits: list[TransArchPayload] = field(default_factory=list, init=False)
     _pending_removals: list[int] = field(default_factory=list, init=False)
-    _cells: dict[tuple[int, int, int], list[int]] = field(default_factory=dict, init=False)
+    # derived from `payloads` by _rebuild_index
+    _cells: dict[tuple[int, int, int], list[tuple[int, tuple]]] = field(
+        default_factory=dict, init=False)
+    _by_index: dict[int, list[tuple[tuple, float]]] = field(default_factory=dict, init=False)
+    _radius_memo: dict[tuple, list[TransArchPayload]] = field(default_factory=dict, init=False)
     # per-epoch counters, read and reset by the epoch runner
     deposited_count: int = field(default=0, init=False)
     consumed_count: int = field(default=0, init=False)
@@ -117,44 +126,59 @@ class NeuralGrid:
         return tuple(int(math.floor(c / self.cell_size)) for c in pos)
 
     def _rebuild_index(self) -> None:
+        """Derive the query structures from the committed payloads, in pid order.
+
+        Called after every change to `payloads`: cell buckets of (pid,
+        position), per-index (position, magnitude) lists for the gradient, and
+        an empty memo for `query_radius`.
+        """
         self._cells = {}
-        for pid, pl in self.payloads.items():
-            self._cells.setdefault(self._cell_of(pl.position), []).append(pid)
+        self._by_index = {}
+        self._radius_memo = {}
+        for pid in sorted(self.payloads):
+            pl = self.payloads[pid]
+            self._cells.setdefault(self._cell_of(pl.position), []).append((pid, pl.position))
+            self._by_index.setdefault(pl.index, []).append((pl.position, pl.magnitude))
 
     def query_radius(self, center, r: float) -> list[TransArchPayload]:
         """Committed payloads within Euclidean distance r, ordered by (distance, pid)."""
         if r < 0:
             raise GridError(f"radius must be >= 0, got {r}")
-        lo = self._cell_of(tuple(c - r for c in center))
-        hi = self._cell_of(tuple(c + r for c in center))
+        key = (tuple(center), r)
+        hit = self._radius_memo.get(key)
+        if hit is not None:
+            return list(hit)
+        c0, c1, c2 = center
+        lo = self._cell_of((c0 - r, c1 - r, c2 - r))
+        hi = self._cell_of((c0 + r, c1 + r, c2 + r))
         found: list[tuple[float, int]] = []
         for cx in range(lo[0], hi[0] + 1):
             for cy in range(lo[1], hi[1] + 1):
                 for cz in range(lo[2], hi[2] + 1):
-                    for pid in self._cells.get((cx, cy, cz), ()):
-                        d = _dist(self.payloads[pid].position, center)
+                    for pid, (x, y, z) in self._cells.get((cx, cy, cz), ()):
+                        d = math.sqrt((x - c0) ** 2 + (y - c1) ** 2 + (z - c2) ** 2)
                         if d <= r:
                             found.append((d, pid))
         found.sort()
-        return [self.payloads[pid] for _, pid in found]
+        result = [self.payloads[pid] for _, pid in found]
+        self._radius_memo[key] = result
+        return list(result)
 
     def density_gradient(self, pos, index: int, sigma: float = 1.0):
         """Gradient of the Gaussian kernel-density field of payloads with this index.
 
         Field: sum_p magnitude_p * exp(-|pos - p|^2 / (2 sigma^2)).
         """
-        grad = [0.0, 0.0, 0.0]
+        gx = gy = gz = 0.0
         inv_s2 = 1.0 / (sigma * sigma)
-        for pid in sorted(self.payloads):
-            pl = self.payloads[pid]
-            if pl.index != index:
-                continue
-            delta = [pc - c for pc, c in zip(pl.position, pos)]
-            d2 = sum(x * x for x in delta)
-            k = pl.magnitude * math.exp(-0.5 * d2 * inv_s2)
-            for i in range(3):
-                grad[i] += k * delta[i] * inv_s2
-        return tuple(grad)
+        p0, p1, p2 = pos
+        for (x, y, z), mag in self._by_index.get(index, ()):
+            d0, d1, d2 = x - p0, y - p1, z - p2
+            k = mag * math.exp(-0.5 * (d0 * d0 + d1 * d1 + d2 * d2) * inv_s2)
+            gx += k * d0 * inv_s2
+            gy += k * d1 * inv_s2
+            gz += k * d2 * inv_s2
+        return (gx, gy, gz)
 
     # -- aging -------------------------------------------------------------
 

@@ -45,6 +45,28 @@ def input_probe_from_spec(spec: dict) -> InputProbe:
     return decode(InputProbe, {"cursor": 0, "noise": 0.0, **spec})
 
 
+def check_input_probe(probe: InputProbe) -> None:
+    """Raise ValueError unless the propagate phase can deposit every frame item.
+
+    The probe needs a position of 3 numbers. An item needs an ``offset`` of 3
+    numbers and an ``index``, a ``magnitude`` and an optional ``excitatory``
+    that convert as that phase converts them.
+    """
+    try:
+        if len(probe.position) != 3:
+            raise ValueError(f"position {probe.position!r} is not 3 numbers")
+        for frame in probe.frames or ():
+            for item in frame:
+                offset = item["offset"]
+                if len(offset) != 3 or not all(isinstance(o, (int, float)) for o in offset):
+                    raise ValueError(f"offset {offset!r} is not 3 numbers")
+                int(item["index"])
+                float(item["magnitude"])
+                int(item.get("excitatory", 1))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"input probe {probe.probe_id}: {exc!r}") from exc
+
+
 @dataclass
 class OutputProbe:
     probe_id: int

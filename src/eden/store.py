@@ -17,9 +17,9 @@ from typing import Optional
 from .codec import decode, encode
 from .config import EngineConfig
 from .functome import Functome
-from .grid import TRANSMITTER, NeuralGrid
+from .grid import ARCHITECTOR, TRANSMITTER, NeuralGrid
 from .node import ProcessNode
-from .runner import (Entity, EpochReport, InputProbe, OutputProbe,
+from .runner import (Entity, EpochReport, InputProbe, OutputProbe, check_input_probe,
                      input_probe_from_spec, rng_state_from_json, rng_state_to_json)
 
 FORMAT_VERSION = 1
@@ -180,7 +180,9 @@ class EnvironmentControlRule:
     repeating: bool = False
     fired: bool = False
 
-    _PRE_TYPES = ("epoch_at_least", "probe_reading_at_least", "node_count_at_least")
+    # precondition type -> the key `holds` compares with a number
+    _PRE_TYPES = {"epoch_at_least": "epoch", "probe_reading_at_least": "value",
+                  "node_count_at_least": "count"}
     _EFFECT_TYPES = ("add_input_probe", "remove_input_probe", "deposit_payload")
 
     @classmethod
@@ -191,6 +193,39 @@ class EnvironmentControlRule:
         if not isinstance(eff, dict) or eff.get("type") not in cls._EFFECT_TYPES:
             raise RuleError(f"unknown effect: {eff}")
         return cls(precondition=pre, effect=eff, repeating=bool(d.get("repeating", False)))
+
+    def check(self, grid: NeuralGrid) -> None:
+        """Raise RuleError unless `holds` and `apply` can run against this grid.
+
+        Every key they read must be present and convert as they convert it; a
+        deposit needs a known kind, magnitude > 0 and a position inside the grid.
+        """
+        p, e = self.precondition, self.effect
+        try:
+            if not isinstance(p[self._PRE_TYPES[p["type"]]], (int, float)):
+                raise TypeError(f"{p['type']} threshold is not a number")
+            if p["type"] == "probe_reading_at_least" and "probe_id" not in p:
+                raise KeyError("probe_id")
+            kind = e["type"]
+            if kind == "add_input_probe":
+                check_input_probe(input_probe_from_spec(e["probe"]))
+            elif kind == "remove_input_probe":
+                if "probe_id" not in e:
+                    raise KeyError("probe_id")
+            else:  # deposit_payload
+                spec = e["payload"]
+                position = tuple(float(c) for c in spec["position"])
+                if len(position) != 3 or not grid.in_bounds(position):
+                    raise ValueError(f"position {position} is not a point inside the grid")
+                if spec.get("kind", TRANSMITTER) not in (TRANSMITTER, ARCHITECTOR):
+                    raise ValueError(f"unknown payload kind {spec['kind']!r}")
+                if not float(spec["magnitude"]) > 0:
+                    raise ValueError(f"magnitude {spec['magnitude']} is not > 0")
+                int(spec["index"])
+                int(spec.get("ttl", 0))
+                dict(spec.get("properties", {}))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise RuleError(f"rule with effect {e}: {exc!r}") from exc
 
     def holds(self, entity: Entity) -> bool:
         p = self.precondition

@@ -133,6 +133,37 @@ class TestTrain:
         assert records[1]["environment_events"] == []
 
 
+class TestTrainRejectsBadInputBeforeEpochZero:
+    """Input that would fail mid-run exits 4 before any epoch, touching nothing."""
+
+    def _train(self, tmp_path, state_path, *extra):
+        log = tmp_path / "run.session.jsonl"
+        before = open(state_path, "rb").read()
+        rc = main(["train", "--state", state_path, "--epochs", "5",
+                   "--log", str(log), *extra])
+        assert rc == EXIT_SCHEMA
+        assert open(state_path, "rb").read() == before
+        assert not log.exists()
+
+    def test_deposit_rule_without_index(self, tmp_path, state_path):
+        rules = tmp_path / "rules.json"
+        rules.write_text(json.dumps([{
+            "precondition": {"type": "epoch_at_least", "epoch": 2},
+            "effect": {"type": "deposit_payload",
+                       "payload": {"position": [5, 5, 5], "magnitude": 3.0}},
+        }]))
+        self._train(tmp_path, state_path, "--rules", str(rules))
+
+    def test_frame_item_without_index(self, tmp_path, state_path):
+        pattern = tmp_path / "pattern.json"
+        pattern.write_text(json.dumps({"input_probes": [{
+            "probe_id": 0, "position": [5, 5, 5],
+            "frames": [[{"offset": [0, 0, 0], "index": 0, "magnitude": 2.0}],
+                       [{"offset": [0, 0, 0], "magnitude": 2.0}]],
+        }]}))
+        self._train(tmp_path, state_path, "--pattern", str(pattern))
+
+
 class TestLockUnlock:
     def test_roundtrip(self, state_path):
         assert main(["lock", "--state", state_path]) == EXIT_OK

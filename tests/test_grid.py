@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eden.codec import decode, encode
 from eden.grid import ARCHITECTOR, TRANSMITTER, GridError, NeuralGrid
@@ -12,6 +13,36 @@ from test_acceptance import density
 
 def make_grid(cell_size=2.0):
     return NeuralGrid((0, 0, 0), (10, 10, 10), cell_size=cell_size)
+
+
+# Reference implementations: the plain scalar loops over every committed
+# payload that the per-commit index replaced. The grid must match them
+# exactly, because trajectories are compared by digest.
+
+def reference_query_radius(grid, center, r):
+    found = []
+    for pid in sorted(grid.payloads):
+        pl = grid.payloads[pid]
+        d = math.sqrt(sum((ai - bi) ** 2 for ai, bi in zip(pl.position, center)))
+        if d <= r:
+            found.append((d, pid))
+    found.sort()
+    return [pid for _, pid in found]
+
+
+def reference_density_gradient(grid, pos, index, sigma=1.0):
+    grad = [0.0, 0.0, 0.0]
+    inv_s2 = 1.0 / (sigma * sigma)
+    for pid in sorted(grid.payloads):
+        pl = grid.payloads[pid]
+        if pl.index != index:
+            continue
+        delta = [pc - c for pc, c in zip(pl.position, pos)]
+        d2 = sum(x * x for x in delta)
+        k = pl.magnitude * math.exp(-0.5 * d2 * inv_s2)
+        for i in range(3):
+            grad[i] += k * delta[i] * inv_s2
+    return tuple(grad)
 
 
 class TestDeposit:
@@ -184,3 +215,80 @@ class TestPersistence:
         assert encode(g2) == encode(g)
         assert [pl.pid for pl in g2.query_radius((1, 2, 3), 0.5)] == \
                [pl.pid for pl in g.query_radius((1, 2, 3), 0.5)]
+
+
+coords = st.tuples(*[st.floats(0.0, 10.0, allow_nan=False)] * 3)
+grid_ops = st.lists(st.one_of(
+    st.tuples(st.just("deposit"), st.lists(st.tuples(
+        coords, st.integers(0, 2), st.floats(0.01, 3.0), st.integers(0, 4)),
+        min_size=1, max_size=8)),
+    st.tuples(st.just("remove"), st.integers(0, 100)),
+    st.tuples(st.just("commit")),
+    st.tuples(st.just("decay"), st.floats(0.05, 1.0)),
+    st.tuples(st.just("query"), st.tuples(*[st.floats(-2.0, 12.0, allow_nan=False)] * 3),
+              st.floats(0.0, 6.0)),
+    st.tuples(st.just("repeat"), st.integers(0, 20)),
+    st.tuples(st.just("gradient"), coords, st.integers(0, 2), st.floats(0.3, 3.0)),
+), min_size=5, max_size=40)
+
+
+class TestAgainstReference:
+    """Random grid histories; every query equals the reference exactly."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(cell_size=st.sampled_from([0.5, 1.0, 2.0, 5.0]), ops=grid_ops)
+    def test_random_histories(self, cell_size, ops):
+        g = make_grid(cell_size)
+        queries = []
+
+        def check_query(center, r):
+            assert ([pl.pid for pl in g.query_radius(center, r)]
+                    == reference_query_radius(g, center, r))
+
+        for op in ops:
+            if op[0] == "deposit":
+                for pos, index, mag, ttl in op[1]:
+                    g.deposit(g.new_payload(TRANSMITTER, index, pos, mag, ttl))
+            elif op[0] == "remove":
+                g.remove(op[1])
+            elif op[0] == "commit":
+                g.commit()
+            elif op[0] == "decay":
+                g.decay_and_expire(op[1])
+            elif op[0] == "gradient":
+                _, pos, index, sigma = op
+                assert (g.density_gradient(pos, index, sigma)
+                        == reference_density_gradient(g, pos, index, sigma))
+            elif op[0] == "query":
+                queries.append(op[1:])
+                check_query(*op[1:])
+            elif queries:  # repeat an earlier query, possibly across commits
+                check_query(*queries[op[1] % len(queries)])
+
+    def test_query_sees_commit_after_memoized_result(self):
+        g = make_grid()
+        g.deposit(g.new_payload(TRANSMITTER, 0, (5, 5, 5), 1.0, 3))
+        g.commit()
+        assert [pl.pid for pl in g.query_radius((5, 5, 5), 1.0)] == [0]
+        g.deposit(g.new_payload(TRANSMITTER, 0, (5, 5, 5.5), 1.0, 3))
+        g.commit()
+        assert [pl.pid for pl in g.query_radius((5, 5, 5), 1.0)] == [0, 1]
+
+    def test_gradient_sees_decayed_magnitudes(self):
+        g = make_grid()
+        g.deposit(g.new_payload(TRANSMITTER, 1, (6, 5, 5), 2.0, 10))
+        g.commit()
+        before = g.density_gradient((5, 5, 5), 1)
+        g.decay_and_expire(0.5)
+        after = g.density_gradient((5, 5, 5), 1)
+        assert after == reference_density_gradient(g, (5, 5, 5), 1)
+        assert after[0] == pytest.approx(before[0] / 2)
+
+    def test_mutating_a_result_leaves_the_next_unchanged(self):
+        g = make_grid()
+        for x in (4.5, 5.5):
+            g.deposit(g.new_payload(TRANSMITTER, 0, (x, 5, 5), 1.0, 3))
+        g.commit()
+        first = g.query_radius((5, 5, 5), 1.0)
+        first.clear()
+        assert [pl.pid for pl in g.query_radius((5, 5, 5), 1.0)] == [0, 1]

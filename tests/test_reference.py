@@ -1,0 +1,43 @@
+"""Determinism guard: the `grow` benchmark trajectory matches its recorded digest.
+
+`perfbench/reference.json` holds the sha256 trajectory digest of every
+workload and seed. This rebuilds `grow` seed 0 (4 stimulus variants of 20
+epochs each) and digests it as `perfbench/run.py` does, so a one-ulp drift in
+the grid queries, the CEM or anything else on the epoch path fails here. Only
+reads `perfbench/`; re-record the reference there for an intended change.
+"""
+import hashlib
+import importlib.util
+import json
+import os
+import sys
+
+from eden.runner import run_epoch
+from eden.store import dumps_canonical
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", os.path.join(PERFBENCH, "workloads.py"))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_grow_seed_0_matches_reference_digest():
+    workloads = load_workloads()
+    variant_digests = []
+    for variant in range(4):
+        entity = workloads.build_grow(0, variant)
+        digest = hashlib.sha256()
+        for _ in range(workloads.GROW_EPISODE_EPOCHS):
+            digest.update(dumps_canonical(run_epoch(entity).to_dict()).encode())
+            digest.update(b"\n")
+        variant_digests.append(digest.hexdigest())
+    with open(os.path.join(PERFBENCH, "reference.json"), encoding="utf-8") as fh:
+        expected = json.load(fh)["grow"]["0"]["trajectory_digest"]
+    assert hashlib.sha256("".join(variant_digests).encode()).hexdigest() == expected

@@ -8,9 +8,9 @@ from eden.config import EngineConfig
 from eden.functome import ActionGene, functome_hash
 from eden.grid import TRANSMITTER
 from eden.node import Dendrite, SpikeDistribution
-from eden.runner import (Entity, InputProbe, OutputProbe, develop_phase,
-                         evaluate_prune_phase, propagate_phase, run_epoch,
-                         seed_entity)
+from eden.runner import (Entity, InputProbe, OutputProbe, check_input_probe,
+                         develop_phase, evaluate_prune_phase, propagate_phase,
+                         run_epoch, seed_entity)
 
 
 def small_config(**overrides):
@@ -231,3 +231,39 @@ class TestRunEpoch:
         stimulus_probe(entity)
         run_epoch(entity)
         assert all(float(n.cem.p.sum()) == 0.0 for n in entity.nodes.values())
+
+
+GOOD_ITEM = {"offset": [0, 0, 0], "index": 0, "magnitude": 1.0}
+
+
+class TestCheckInputProbe:
+    @pytest.mark.parametrize("item", [
+        {"index": 0, "magnitude": 1.0},
+        {**GOOD_ITEM, "offset": [0, 0]},
+        {**GOOD_ITEM, "offset": [0, "1", 0]},
+        {"offset": [0, 0, 0], "magnitude": 1.0},
+        {**GOOD_ITEM, "index": "one"},
+        {**GOOD_ITEM, "index": None},
+        {"offset": [0, 0, 0], "index": 0},
+        {**GOOD_ITEM, "magnitude": "big"},
+        {**GOOD_ITEM, "excitatory": "yes"},
+        "not an item",
+    ])
+    def test_rejects_items_propagate_cannot_deposit(self, item):
+        with pytest.raises(ValueError):
+            check_input_probe(InputProbe(probe_id=0, position=(5, 5, 5),
+                                         frames=[[GOOD_ITEM], [item]]))
+
+    def test_rejects_a_position_that_is_not_a_point(self):
+        with pytest.raises(ValueError):
+            check_input_probe(InputProbe(probe_id=0, position=(5, 5), frames=[[GOOD_ITEM]]))
+
+    def test_accepts_items_propagate_deposits(self):
+        entity = seed_entity(small_config())
+        probe = InputProbe(probe_id=0, position=(5, 5, 5), frames=[[], [
+            GOOD_ITEM, {"offset": [0.5, -1, 0], "index": 1.0, "magnitude": 2},
+            {**GOOD_ITEM, "magnitude": -1.0, "excitatory": -1}]])
+        check_input_probe(probe)
+        entity.input_probes.append(probe)
+        for _ in range(2):
+            propagate_phase(entity)

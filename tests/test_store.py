@@ -172,6 +172,52 @@ class TestEnvironmentRules:
                 {"precondition": {"type": "epoch_at_least", "epoch": 0},
                  "effect": {"type": "explode"}})
 
+    @pytest.mark.parametrize("precondition, effect", [
+        ({"type": "epoch_at_least"}, None),
+        ({"type": "epoch_at_least", "epoch": "2"}, None),
+        ({"type": "node_count_at_least"}, None),
+        ({"type": "probe_reading_at_least", "value": 0.5}, None),
+        ({"type": "probe_reading_at_least", "probe_id": 0}, None),
+        (None, {"type": "add_input_probe"}),
+        (None, {"type": "add_input_probe", "probe": {"probe_id": 1, "frames": []}}),
+        (None, {"type": "add_input_probe", "probe": {
+            "probe_id": 1, "position": [1, 1, 1], "frames": [[{"offset": [0, 0, 0]}]]}}),
+        (None, {"type": "remove_input_probe"}),
+        (None, {"type": "deposit_payload", "payload": {"position": [5, 5, 5],
+                                                       "magnitude": 1.0}}),
+        (None, {"type": "deposit_payload", "payload": {"index": 0, "magnitude": 1.0}}),
+        (None, {"type": "deposit_payload", "payload": {"index": 0, "position": [5, 5],
+                                                       "magnitude": 1.0}}),
+        (None, {"type": "deposit_payload", "payload": {"index": 0, "position": [11, 5, 5],
+                                                       "magnitude": 1.0}}),
+        (None, {"type": "deposit_payload", "payload": {"index": 0, "position": [5, 5, 5]}}),
+        (None, {"type": "deposit_payload", "payload": {"index": 0, "position": [5, 5, 5],
+                                                       "magnitude": 0.0}}),
+        (None, {"type": "deposit_payload", "payload": {"index": 0, "position": [5, 5, 5],
+                                                       "magnitude": 1.0, "kind": "dust"}}),
+        (None, {"type": "deposit_payload", "payload": {"index": 0, "position": [5, 5, 5],
+                                                       "magnitude": 1.0, "ttl": "long"}}),
+    ])
+    def test_check_rejects_what_would_fail_mid_run(self, precondition, effect):
+        kw = {k: v for k, v in (("precondition", precondition), ("effect", effect)) if v}
+        with pytest.raises(store.RuleError):
+            self._rule(**kw).check(make_entity().grid)
+
+    def test_check_accepts_working_rules(self):
+        grid = make_entity().grid
+        for kw in ({},
+                   {"precondition": {"type": "probe_reading_at_least",
+                                     "probe_id": 3, "value": 0.5}},
+                   {"precondition": {"type": "node_count_at_least", "count": 2.5}},
+                   {"effect": {"type": "deposit_payload", "payload": {
+                       "kind": "architector", "index": 1.0, "position": [0, 10, 2.5],
+                       "magnitude": 2, "ttl": 4, "properties": {"target_action": "x"}}}},
+                   {"effect": {"type": "add_input_probe", "probe": {
+                       "probe_id": 7, "position": [1, 1, 1], "frames": [[], [
+                           {"offset": [0, 0.5, 0], "index": 1, "magnitude": -1.0}]]}}},
+                   {"effect": {"type": "remove_input_probe", "probe_id": 7}}):
+            self._rule(**kw).check(grid)
+
     def test_load_rules_requires_list(self, tmp_path):
         path = tmp_path / "rules.json"
         path.write_text("{}")
