@@ -6,6 +6,11 @@ deposited on the entry plane climbs plane by plane; each energized cell
 forwards a sigmoid-transferred share to exactly one cell of the next plane,
 chosen by its router. A plane whose accumulated energy reaches the minimum
 threshold spikes.
+
+Each pass is recorded once in ``last_trace``, valid until ``reset_propagation``:
+per plane, the energized cells and the next-plane cell each one sent to.
+Backprop reads energy and weights from the lattices in place; a plane is never
+written after it sends, and weights change only after every gradient is known.
 """
 from __future__ import annotations
 
@@ -38,14 +43,6 @@ class SpikeEvent:
     epoch: int = -1
     node_id: int = -1
 
-    def to_dict(self) -> dict:
-        return {
-            "z_index": self.z_index,
-            "plane_energy": float(self.plane_energy),
-            "epoch": self.epoch,
-            "node_id": self.node_id,
-        }
-
 
 @dataclass
 class GoalPlane:
@@ -59,21 +56,15 @@ class GoalPlane:
 
 
 @dataclass
-class Hop:
-    """One cell-to-cell energy transfer recorded during a forward pass."""
-
-    src: tuple[int, int]     # (x, y) in plane z
-    dst: tuple[int, int]     # (x, y) in plane z+1
-    z: int
-    p_sent: float            # source p at send time
-    w_val: float
-
-
-@dataclass
 class PropagationTrace:
-    """Routed-predecessor record of a single forward pass."""
+    """Routed-predecessor record of a single forward pass.
 
-    hops_by_plane: list[list[Hop]] = field(default_factory=list)
+    ``energized[z]`` lists the cells of plane z holding energy, in row-major
+    order; ``hops_by_plane[z][i]`` is the plane z+1 cell that
+    ``energized[z][i]`` sent to. The spiking plane and the last plane send nothing.
+    """
+
+    hops_by_plane: list[list[tuple[int, int]]] = field(default_factory=list)
     energized: list[list[tuple[int, int]]] = field(default_factory=list)
     spike_z: Optional[int] = None
 
@@ -162,16 +153,13 @@ class PwrTensor:
                 return SpikeEvent(z_index=z, plane_energy=pe)
             if z + 1 >= self.dim_z:
                 break
-            hops: list[Hop] = []
+            hops: list[tuple[int, int]] = []
             out = np.zeros((n, n))
             for x, y in cells:
-                pv = float(self.p[x, y, z])
-                wv = float(self.w[x, y, z])
                 dx, dy = ROUTER_OPTIONS[self.r[x, y, z]]
-                tx = min(max(x + dx, 0), n - 1)
-                ty = min(max(y + dy, 0), n - 1)
-                out[tx, ty] += transfer(pv, wv, dr)
-                hops.append(Hop(src=(x, y), dst=(tx, ty), z=z, p_sent=pv, w_val=wv))
+                dst = (min(max(x + dx, 0), n - 1), min(max(y + dy, 0), n - 1))
+                out[dst] += transfer(float(self.p[x, y, z]), float(self.w[x, y, z]), dr)
+                hops.append(dst)
             trace.hops_by_plane.append(hops)
             self.p[:, :, z + 1] += out
         return None
@@ -199,51 +187,51 @@ class PwrTensor:
         return count
 
     def reset_propagation(self) -> None:
+        """Clear the energy; the recorded pass no longer matches it and is dropped."""
         self.p.fill(0.0)
         self.plane_energy_acc.fill(0.0)
+        self.last_trace = None
 
     # -- backprop ----------------------------------------------------------
 
-    def goal_loss_gradients(self, goal: GoalPlane, trace: PropagationTrace,
-                            dr: float = 0.0
+    def goal_loss_gradients(self, goal: GoalPlane, dr: float = 0.0
                             ) -> tuple[float, dict[tuple[int, int, int], float]]:
         """Squared-error loss at the goal plane and d(loss)/dw per visited cell.
 
         The single error is evaluated at the goal plane; gradients flow back
-        only along each cell's recorded routed-predecessor chain through the
-        sigmoid derivative.
+        only along each cell's routed-predecessor chain recorded in
+        ``last_trace``, through the sigmoid derivative.
         """
         if goal.target_p.shape != (self.dim_xy, self.dim_xy):
             raise StructureError(
                 f"goal plane shape {goal.target_p.shape} != ({self.dim_xy}, {self.dim_xy})")
-        zs = goal.z_index
-        if not (0 <= zs < self.dim_z) or zs > len(trace.hops_by_plane):
-            raise StructureError(f"goal plane {zs} not covered by the recorded pass")
+        zs, trace = goal.z_index, self.last_trace
+        if trace is None or not (0 <= zs < self.dim_z) or zs > len(trace.hops_by_plane):
+            raise StructureError(f"goal plane {zs} not covered by a recorded pass")
         diff = self.p[:, :, zs] - goal.target_p
         loss = 0.5 * float((diff * diff).sum())
         grad_p = diff.copy()  # d loss / d p at the current plane
         grad_w: dict[tuple[int, int, int], float] = {}
         for z in range(zs - 1, -1, -1):
             grad_prev = np.zeros_like(grad_p)
-            for hop in trace.hops_by_plane[z]:
-                g = grad_p[hop.dst]
+            for (x, y), dst in zip(trace.energized[z], trace.hops_by_plane[z]):
+                g = grad_p[dst]
                 if g == 0.0:
                     continue
-                v = hop.p_sent * hop.w_val
-                s = 1.0 / (1.0 + math.exp(-v))
+                pv, wv = float(self.p[x, y, z]), float(self.w[x, y, z])
+                s = 1.0 / (1.0 + math.exp(-(pv * wv)))
                 if s - dr <= 0.0:  # clamped transfer carries no gradient
                     continue
                 ds = s * (1.0 - s)
-                key = (hop.src[0], hop.src[1], z)
-                grad_w[key] = grad_w.get(key, 0.0) + g * ds * hop.p_sent
-                grad_prev[hop.src] += g * ds * hop.w_val
+                grad_w[x, y, z] = grad_w.get((x, y, z), 0.0) + g * ds * pv
+                grad_prev[x, y] += g * ds * wv
             grad_p = grad_prev
         return loss, grad_w
 
-    def backprop_to_goal(self, goal: GoalPlane, trace: PropagationTrace,
-                         learning_rate: float, dr: float = 0.0) -> float:
+    def backprop_to_goal(self, goal: GoalPlane, learning_rate: float,
+                         dr: float = 0.0) -> float:
         """One SGD step of the visited weights toward the goal plane; returns loss."""
-        loss, grad_w = self.goal_loss_gradients(goal, trace, dr)
+        loss, grad_w = self.goal_loss_gradients(goal, dr)
         for (x, y, z), g in grad_w.items():
             self.w[x, y, z] = min(1.0, max(0.0, self.w[x, y, z] - learning_rate * g))
         return loss

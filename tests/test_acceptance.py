@@ -109,7 +109,7 @@ def test_criterion_02_backprop_finite_differences(capsys):
             work = trained_copy(tensor)
             work.forward_propagate(deposits, min_e=1e18, dr=dr)
             _, grad_w = work.goal_loss_gradients(
-                GoalPlane(z_index=zs, target_p=target), work.last_trace, dr)
+                GoalPlane(z_index=zs, target_p=target), dr)
             for key, analytic in grad_w.items():
                 w0 = float(tensor.w[key])
                 fd = (loss_at(tensor, key, w0 + h, deposits, target, zs, dr)

@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from eden.cem import (CENTER, ROUTER_OPTIONS, DepositError, GoalPlane,
                       PwrTensor, StructureError, transfer)
@@ -279,14 +280,14 @@ class TestBackprop:
         t, _, _ = self._setup(0)
         goal = GoalPlane(z_index=3, target_p=t.p[:, :, 3].copy())
         w_before = t.w.copy()
-        loss = t.backprop_to_goal(goal, t.last_trace, 0.5, 0.05)
+        loss = t.backprop_to_goal(goal, 0.5, 0.05)
         assert loss == 0.0
         assert np.array_equal(t.w, w_before)
 
     def test_zero_learning_rate_keeps_weights(self):
         t, _, goal = self._setup(1)
         w_before = t.w.copy()
-        loss = t.backprop_to_goal(goal, t.last_trace, 0.0, 0.05)
+        loss = t.backprop_to_goal(goal, 0.0, 0.05)
         assert loss > 0
         assert np.array_equal(t.w, w_before)
 
@@ -294,7 +295,7 @@ class TestBackprop:
         t, _, _ = self._setup(2)
         bad = GoalPlane(z_index=3, target_p=np.zeros((5, 5)))
         with pytest.raises(StructureError):
-            t.backprop_to_goal(bad, t.last_trace, 0.1)
+            t.backprop_to_goal(bad, 0.1)
 
     def test_single_path_finite_difference(self):
         rng = random.Random(3)
@@ -303,7 +304,7 @@ class TestBackprop:
         deposits = [(0, 0, 1.5)]
         t.forward_propagate(deposits, 1e18, 0.0)
         goal = GoalPlane(z_index=2, target_p=np.array([[3.0]]))
-        _, grads = t.goal_loss_gradients(goal, t.last_trace, 0.0)
+        _, grads = t.goal_loss_gradients(goal, 0.0)
         snapshot = encode(t)
         h = 1e-6
         for (x, y, z), g in grads.items():
@@ -318,7 +319,7 @@ class TestBackprop:
     def test_random_tensor_finite_differences(self):
         for seed in range(10):
             t, deposits, goal = self._setup(seed, dim_xy=3, dim_z=4)
-            _, grads = t.goal_loss_gradients(goal, t.last_trace, 0.05)
+            _, grads = t.goal_loss_gradients(goal, 0.05)
             snapshot = encode(t)
             h = 1e-6
             for (x, y, z), g in list(grads.items())[:6]:
@@ -335,8 +336,95 @@ class TestBackprop:
         for _ in range(50):
             t.reset_propagation()
             t.forward_propagate(deposits, 1e18, 0.05)
-            t.backprop_to_goal(goal, t.last_trace, 2.0, 0.05)
+            t.backprop_to_goal(goal, 2.0, 0.05)
         assert np.all((t.w >= 0) & (t.w <= 1))
+
+
+def reference_gradients(p, w, r, goal, dr):
+    """Backprop over lattice snapshots taken before the rewire, without the trace.
+
+    The same arithmetic in the same order as ``goal_loss_gradients``: routes
+    come from the pre-spike routers, cells are visited in row-major order.
+    """
+    n = p.shape[0]
+    zs = goal.z_index
+    diff = p[:, :, zs] - goal.target_p
+    loss = 0.5 * float((diff * diff).sum())
+    grad_p = diff.copy()
+    grad_w = {}
+    for z in range(zs - 1, -1, -1):
+        grad_prev = np.zeros_like(grad_p)
+        for x in range(n):
+            for y in range(n):
+                if not p[x, y, z] > 0.0:
+                    continue
+                dx, dy = ROUTER_OPTIONS[r[x, y, z]]
+                g = grad_p[min(max(x + dx, 0), n - 1), min(max(y + dy, 0), n - 1)]
+                if g == 0.0:
+                    continue
+                pv, wv = float(p[x, y, z]), float(w[x, y, z])
+                s = 1.0 / (1.0 + math.exp(-(pv * wv)))
+                if s - dr <= 0.0:
+                    continue
+                ds = s * (1.0 - s)
+                grad_w[(x, y, z)] = grad_w.get((x, y, z), 0.0) + g * ds * pv
+                grad_prev[x, y] += g * ds * wv
+        grad_p = grad_prev
+    return loss, grad_w
+
+
+class TestPassRecord:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim_xy=st.integers(1, 5),
+           dim_z=st.integers(2, 9), min_e=st.floats(0.5, 6.0),
+           dr=st.sampled_from([0.0, 0.05, 0.3, 0.6]))
+    def test_gradients_after_rewire_match_pre_spike_snapshot(
+            self, seed, dim_xy, dim_z, min_e, dr):
+        rng = random.Random(seed)
+        t = PwrTensor.random(dim_xy, dim_z, rng)
+        spike = None
+        for _ in range(20):  # residual energy builds up until a plane spikes
+            deposits = [(rng.randrange(dim_xy), rng.randrange(dim_xy), rng.uniform(-0.5, 2.0))
+                        for _ in range(rng.randint(1, 4))]
+            spike = t.forward_propagate(deposits, min_e, dr)
+            if spike is not None:
+                break
+        assume(spike is not None)
+        p, w, r = t.p.copy(), t.w.copy(), t.r.copy()
+        trace = t.last_trace
+        for z, cells in enumerate(trace.energized):
+            assert cells == [(int(x), int(y)) for x, y in np.argwhere(p[:, :, z] > 0.0)]
+        assert len(trace.hops_by_plane) == spike.z_index
+        for z, dsts in enumerate(trace.hops_by_plane):
+            assert len(dsts) == len(trace.energized[z])
+        t.update_routers_on_spike(spike)
+        goal = GoalPlane(z_index=spike.z_index,
+                         target_p=np.array([[rng.uniform(0.0, 2.0) for _ in range(dim_xy)]
+                                            for _ in range(dim_xy)]))
+        loss, grads = t.goal_loss_gradients(goal, dr)
+        ref_loss, ref_grads = reference_gradients(p, w, r, goal, dr)
+        assert loss == ref_loss
+        assert list(grads.items()) == list(ref_grads.items())
+
+    def test_backprop_without_a_recorded_pass_raises(self):
+        t = PwrTensor.random(3, 4, random.Random(0))
+        goal = GoalPlane(z_index=0, target_p=np.zeros((3, 3)))
+        with pytest.raises(StructureError):
+            t.goal_loss_gradients(goal)
+        with pytest.raises(StructureError):
+            t.backprop_to_goal(goal, 0.1)
+
+    def test_backprop_after_reset_raises(self):
+        t = PwrTensor.random(3, 4, random.Random(1))
+        t.forward_propagate([(1, 1, 1.0)], 1e18, 0.05)
+        goal = GoalPlane(z_index=3, target_p=np.ones((3, 3)))
+        t.goal_loss_gradients(goal, 0.05)  # valid before the reset
+        t.reset_propagation()
+        assert t.last_trace is None
+        w_before = t.w.copy()
+        with pytest.raises(StructureError):
+            t.backprop_to_goal(goal, 0.1, 0.05)
+        assert np.array_equal(t.w, w_before)
 
 
 class TestDeterminism:

@@ -163,6 +163,14 @@ class TestTrainRejectsBadInputBeforeEpochZero:
         }]}))
         self._train(tmp_path, state_path, "--pattern", str(pattern))
 
+    def test_cursor_past_the_last_frame(self, tmp_path, state_path):
+        pattern = tmp_path / "pattern.json"
+        frame = [{"offset": [0, 0, 0], "index": 0, "magnitude": 2.0}]
+        pattern.write_text(json.dumps({"input_probes": [{
+            "probe_id": 0, "position": [5, 5, 5], "cursor": 5, "frames": [frame, frame],
+        }]}))
+        self._train(tmp_path, state_path, "--pattern", str(pattern))
+
 
 class TestLockUnlock:
     def test_roundtrip(self, state_path):

@@ -254,6 +254,15 @@ class TestCheckInputProbe:
             check_input_probe(InputProbe(probe_id=0, position=(5, 5, 5),
                                          frames=[[GOOD_ITEM], [item]]))
 
+    @pytest.mark.parametrize("cursor", [2, 5, -1])
+    def test_rejects_a_cursor_outside_the_frames(self, cursor):
+        with pytest.raises(ValueError):
+            check_input_probe(InputProbe(probe_id=0, position=(5, 5, 5),
+                                         frames=[[GOOD_ITEM], [GOOD_ITEM]], cursor=cursor))
+
+    def test_cursor_of_a_frameless_probe_is_not_read(self):
+        check_input_probe(InputProbe(probe_id=0, position=(5, 5, 5), frames=[], cursor=3))
+
     def test_rejects_a_position_that_is_not_a_point(self):
         with pytest.raises(ValueError):
             check_input_probe(InputProbe(probe_id=0, position=(5, 5), frames=[[GOOD_ITEM]]))
