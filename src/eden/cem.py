@@ -7,6 +7,14 @@ forwards a sigmoid-transferred share to exactly one cell of the next plane,
 chosen by its router. A plane whose accumulated energy reaches the minimum
 threshold spikes.
 
+A plane holds a few energized cells, so the pass works on Python values, not
+per-element numpy reads: it reads a plane's energy, weights and routers once
+each with ``tolist``, looks each route up in ``router_targets`` (edge-clamped,
+cached per lattice size), sums each target's transfers in row-major cell order
+from 0.0 and adds the plane of sums into the next plane in one array add. The
+plane energy stays numpy's sum of the strided plane: numpy sums it pairwise in
+an order a Python loop would have to copy, and the trajectories depend on it.
+
 Each pass is recorded once in ``last_trace``, valid until ``reset_propagation``:
 per plane, the energized cells and the next-plane cell each one sent to.
 Backprop reads energy and weights from the lattices in place; a plane is never
@@ -14,6 +22,7 @@ written after it sends, and weights change only after every gradient is known.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -67,6 +76,16 @@ class PropagationTrace:
     hops_by_plane: list[list[tuple[int, int]]] = field(default_factory=list)
     energized: list[list[tuple[int, int]]] = field(default_factory=list)
     spike_z: Optional[int] = None
+
+
+@functools.cache
+def router_targets(n: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+    """``router_targets(n)[option][x][y]``: the next-plane cell that router
+    ``option`` at (x, y) of an n*n plane sends to, clamped at the lattice edge."""
+    return tuple(
+        tuple(tuple((min(max(x + dx, 0), n - 1), min(max(y + dy, 0), n - 1))
+                    for y in range(n)) for x in range(n))
+        for dx, dy in ROUTER_OPTIONS)
 
 
 def transfer(p_val: float, w_val: float, dr: float) -> float:
@@ -144,24 +163,29 @@ class PwrTensor:
 
         trace = PropagationTrace()
         self.last_trace = trace
+        targets = router_targets(n)
+        p, w, r = self.p, self.w, self.r
         for z in range(self.dim_z):
             pe = self.accumulate_plane_energy(z, at_mod)
-            cells = [(int(x), int(y)) for x, y in np.argwhere(self.p[:, :, z] > 0.0)]
+            plane = p[:, :, z]
+            xs, ys = (plane > 0.0).nonzero()
+            cells = list(zip(xs.tolist(), ys.tolist()))
             trace.energized.append(cells)
             if pe >= min_e:
                 trace.spike_z = z
                 return SpikeEvent(z_index=z, plane_energy=pe)
             if z + 1 >= self.dim_z:
                 break
-            hops: list[tuple[int, int]] = []
-            out = np.zeros((n, n))
-            for x, y in cells:
-                dx, dy = ROUTER_OPTIONS[self.r[x, y, z]]
-                dst = (min(max(x + dx, 0), n - 1), min(max(y + dy, 0), n - 1))
-                out[dst] += transfer(float(self.p[x, y, z]), float(self.w[x, y, z]), dr)
-                hops.append(dst)
+            p_z, w_z, r_z = plane.tolist(), w[:, :, z].tolist(), r[:, :, z].tolist()
+            hops = [targets[r_z[x][y]][x][y] for x, y in cells]
             trace.hops_by_plane.append(hops)
-            self.p[:, :, z + 1] += out
+            sums: dict[tuple[int, int], float] = {}
+            for (x, y), dst in zip(cells, hops):
+                sums[dst] = sums.get(dst, 0.0) + transfer(p_z[x][y], w_z[x][y], dr)
+            out = np.zeros((n, n))
+            for dst, total in sums.items():
+                out[dst] = total
+            p[:, :, z + 1] += out  # dense: also turns every -0.0 of the plane into +0.0
         return None
 
     # -- router dynamics ---------------------------------------------------

@@ -62,6 +62,8 @@ def entity_from_dict(data: dict) -> Entity:
         node = decode(ProcessNode, nd, functome=entity.functomes[fid])
         entity.nodes[node.id] = node
     entity.input_probes = [decode(InputProbe, p) for p in data["input_probes"]]
+    for probe in entity.input_probes:
+        check_input_probe(probe)  # refuse at load what would fail mid-run
     entity.output_probes = [decode(OutputProbe, p) for p in data["output_probes"]]
     return entity
 

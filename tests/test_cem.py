@@ -8,7 +8,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from eden.cem import (CENTER, ROUTER_OPTIONS, DepositError, GoalPlane,
-                      PwrTensor, StructureError, transfer)
+                      PropagationTrace, PwrTensor, SpikeEvent, StructureError,
+                      transfer)
 from eden.codec import decode, encode
 
 
@@ -43,6 +44,41 @@ def forward_oracle(p0, w, routers, deposits, min_e, dr, at_mod=1.0):
                 ty = min(max(y + dy, 0), dim_xy - 1)
                 p[(tx, ty, z + 1)] += out
     return None, None
+
+
+def reference_forward_propagate(t, deposits, min_e, dr, at_mod=1.0):
+    """The forward pass as a scalar loop: numpy element reads and writes per
+    cell, routes clamped per cell, each target's share accumulated in a dense
+    plane in row-major cell order and added into the next plane at once.
+
+    ``PwrTensor.forward_propagate`` must reproduce it bit for bit.
+    """
+    n = t.dim_xy
+    for x, y, mag in deposits:
+        if not (0 <= x < n and 0 <= y < n):
+            raise DepositError(f"deposit at ({x}, {y}) outside {n}x{n} entry plane")
+        t.p[x, y, 0] = max(0.0, t.p[x, y, 0] + mag)
+    trace = PropagationTrace()
+    t.last_trace = trace
+    for z in range(t.dim_z):
+        pe = t.accumulate_plane_energy(z, at_mod)
+        cells = [(int(x), int(y)) for x, y in np.argwhere(t.p[:, :, z] > 0.0)]
+        trace.energized.append(cells)
+        if pe >= min_e:
+            trace.spike_z = z
+            return SpikeEvent(z_index=z, plane_energy=pe)
+        if z + 1 >= t.dim_z:
+            break
+        hops = []
+        out = np.zeros((n, n))
+        for x, y in cells:
+            dx, dy = ROUTER_OPTIONS[t.r[x, y, z]]
+            dst = (min(max(x + dx, 0), n - 1), min(max(y + dy, 0), n - 1))
+            out[dst] += transfer(float(t.p[x, y, z]), float(t.w[x, y, z]), dr)
+            hops.append(dst)
+        trace.hops_by_plane.append(hops)
+        t.p[:, :, z + 1] += out
+    return None
 
 
 class TestRouterOptions:
@@ -156,6 +192,38 @@ class TestForwardPropagate:
             else:
                 assert spike.z_index == oz
                 assert spike.plane_energy == pytest.approx(ope, abs=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim_xy=st.integers(1, 9),
+           dim_z=st.integers(1, 12), min_e_per_cell=st.floats(0.1, 10.0),
+           fill=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+           dr=st.sampled_from([0.0, 0.05, 0.3, 0.6]), at_mod=st.sampled_from([1.0, 0.8]),
+           passes=st.integers(1, 5))
+    def test_matches_scalar_reference_exactly(self, seed, dim_xy, dim_z, min_e_per_cell,
+                                              fill, dr, at_mod, passes):
+        # a threshold that scales with the plane lets dense planes climb
+        # too, where several cells send to one target and order matters
+        min_e = min_e_per_cell * dim_xy * dim_xy
+        rng = random.Random(seed)
+        t = PwrTensor.random(dim_xy, dim_z, rng)
+        # residual energy on a `fill` share of the cells of every plane; the
+        # rest exact zeros of both signs (a save state can carry -0.0, which
+        # the dense add into the next plane turns into +0.0)
+        for idx in np.ndindex(t.p.shape):
+            t.p[idx] = rng.uniform(0.0, 2.0) if rng.random() < fill else rng.choice([0.0, -0.0])
+        ref = copy.deepcopy(t)
+        for _ in range(passes):  # no reset: energy piles up pass after pass
+            deposits = [(rng.randrange(dim_xy), rng.randrange(dim_xy), rng.uniform(-0.5, 2.0))
+                        for _ in range(rng.randint(0, 4))]
+            spike = t.forward_propagate(deposits, min_e, dr, at_mod)
+            ref_spike = reference_forward_propagate(ref, deposits, min_e, dr, at_mod)
+            assert spike == ref_spike
+            assert t.p.tobytes() == ref.p.tobytes()
+            assert t.plane_energy_acc.tobytes() == ref.plane_energy_acc.tobytes()
+            assert t.last_trace == ref.last_trace
+            if spike is not None:
+                t.update_routers_on_spike(spike)
+                ref.update_routers_on_spike(ref_spike)
 
     def test_center_routers_no_lateral_spread(self):
         t = PwrTensor(4, 6)

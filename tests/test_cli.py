@@ -7,6 +7,7 @@ import pytest
 from eden.cli import (EXIT_CONFIG, EXIT_DIVERGENT, EXIT_MISSING, EXIT_OK,
                       EXIT_SCHEMA, main)
 from eden import store
+from eden.runner import input_probe_from_spec
 
 
 @pytest.fixture
@@ -230,6 +231,20 @@ class TestReplay:
         rc = main(["replay", "--state", state_path, "--epochs", "10"])
         assert rc == EXIT_OK
         assert "identical" in capsys.readouterr().out
+
+    def test_state_with_a_bad_probe_is_a_schema_error(self, tmp_path, state_path):
+        # the probe check runs at load, not only in train
+        entity = store.load(state_path)
+        entity.input_probes = [input_probe_from_spec({
+            "probe_id": 0, "position": [5, 5, 5],
+            "frames": [[{"offset": [0, 0, 0], "index": 0, "magnitude": 2.0}]]})]
+        store.save(entity, state_path)
+        doc = json.load(open(state_path))
+        doc["entity"]["input_probes"][0]["cursor"] = 4
+        with open(state_path, "w") as fh:
+            json.dump(doc, fh)
+        assert main(["replay", "--state", state_path, "--epochs", "2"]) == EXIT_SCHEMA
+        assert main(["train", "--state", state_path, "--epochs", "2"]) == EXIT_SCHEMA
 
     def test_divergence_detected(self, monkeypatch, state_path, capsys):
         import eden.cli as cli
