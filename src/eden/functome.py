@@ -143,11 +143,13 @@ def _fill_missing_params(gene: ActionGene, rng, num_tx: int, num_arch: int) -> N
 
 # -- prerequisite evaluation ----------------------------------------------
 
-def check_prerequisite(gene: ActionGene, node, grid, entity_clock: int,
-                       scan_radius: float) -> bool:
+def check_prerequisite(gene: ActionGene, node, nearby: list, entity_clock: int) -> bool:
     """Evaluate a gene's prerequisite against committed state.
 
-    Missing param keys make the gene permanently inert (logged once).
+    ``nearby`` is the node's neighbourhood: the committed grid's
+    ``query_radius(node.soma_position, action_scan_radius)``, every kind and
+    index, in its (distance, pid) order. Missing param keys make the gene
+    permanently inert (logged once).
     """
     missing = [k for k in PREREQ_PARAM_KEYS[gene.prerequisite] if k not in gene.params]
     if missing:
@@ -167,18 +169,16 @@ def check_prerequisite(gene: ActionGene, node, grid, entity_clock: int,
     if pre == "EnergyRequirement":
         return float(node.cem.p.sum()) >= p["min_energy"]
     kind = "architector" if pre.startswith("Architector") else "transmitter"
-    nearby = [pl for pl in grid.query_radius(node.soma_position, scan_radius)
-              if pl.kind == kind and pl.index == p["index"]]
+    present = sum(1 for pl in nearby if pl.kind == kind and pl.index == p["index"])
     if pre.endswith("PayloadCount"):
-        return len(nearby) >= p["min_count"]
-    return len(nearby) > 0
+        return present >= p["min_count"]
+    return present > 0
 
 
-def scan_available_actions(node, grid, entity_clock: int, scan_radius: float) -> list[ActionGene]:
-    """Enabled genes whose prerequisites pass, in declaration order."""
-    functome = node.functome
-    return [g for g in functome.genes
-            if g.enabled and check_prerequisite(g, node, grid, entity_clock, scan_radius)]
+def scan_available_actions(node, nearby: list, entity_clock: int) -> list[ActionGene]:
+    """Enabled genes whose prerequisites pass against ``nearby``, in declaration order."""
+    return [g for g in node.functome.genes
+            if g.enabled and check_prerequisite(g, node, nearby, entity_clock)]
 
 
 # -- mutation --------------------------------------------------------------

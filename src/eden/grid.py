@@ -5,8 +5,9 @@ truth, and the save state and tracing read it. Deposits and removals are
 staged and applied at an explicit commit barrier, so every query between two
 commits sees the same frozen state. Payloads change only in `commit` and
 `decay_and_expire`, and both end in `_rebuild_index`, which derives what the
-queries read from that frozen state: uniform-cell buckets of positions,
-per-index lists of (position, magnitude) and an empty `query_radius` memo.
+queries read from that frozen state: uniform-cell buckets of positions and
+per-index lists of (position, magnitude). Callers that need one neighbourhood
+several times between commits read it once and pass the list on.
 
 Queries keep the arithmetic of the plain definitions bit for bit: `math.exp`
 and sequential pid-order accumulation in the gradient, `(a - c) ** 2` in the
@@ -63,7 +64,6 @@ class NeuralGrid:
     _cells: dict[tuple[int, int, int], list[tuple[int, tuple]]] = field(
         default_factory=dict, init=False)
     _by_index: dict[int, list[tuple[tuple, float]]] = field(default_factory=dict, init=False)
-    _radius_memo: dict[tuple, list[TransArchPayload]] = field(default_factory=dict, init=False)
     # per-epoch counters, read and reset by the epoch runner
     deposited_count: int = field(default=0, init=False)
     consumed_count: int = field(default=0, init=False)
@@ -129,12 +129,11 @@ class NeuralGrid:
         """Derive the query structures from the committed payloads, in pid order.
 
         Called after every change to `payloads`: cell buckets of (pid,
-        position), per-index (position, magnitude) lists for the gradient, and
-        an empty memo for `query_radius`.
+        position) for `query_radius` and per-index (position, magnitude) lists
+        for the gradient.
         """
         self._cells = {}
         self._by_index = {}
-        self._radius_memo = {}
         for pid in sorted(self.payloads):
             pl = self.payloads[pid]
             self._cells.setdefault(self._cell_of(pl.position), []).append((pid, pl.position))
@@ -144,10 +143,6 @@ class NeuralGrid:
         """Committed payloads within Euclidean distance r, ordered by (distance, pid)."""
         if r < 0:
             raise GridError(f"radius must be >= 0, got {r}")
-        key = (tuple(center), r)
-        hit = self._radius_memo.get(key)
-        if hit is not None:
-            return list(hit)
         c0, c1, c2 = center
         lo = self._cell_of((c0 - r, c1 - r, c2 - r))
         hi = self._cell_of((c0 + r, c1 + r, c2 + r))
@@ -160,9 +155,7 @@ class NeuralGrid:
                         if d <= r:
                             found.append((d, pid))
         found.sort()
-        result = [self.payloads[pid] for _, pid in found]
-        self._radius_memo[key] = result
-        return list(result)
+        return [self.payloads[pid] for _, pid in found]
 
     def density_gradient(self, pos, index: int, sigma: float = 1.0):
         """Gradient of the Gaussian kernel-density field of payloads with this index.

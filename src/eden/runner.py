@@ -275,10 +275,12 @@ def develop_phase(entity: Entity) -> tuple[list[StructuralChange], list[int]]:
     changes: list[StructuralChange] = []
     for nid in sorted(entity.nodes):
         node = entity.nodes[nid]
-        for gene in scan_available_actions(node, entity.grid, entity.entity_clock,
-                                           cfg.action_scan_radius):
+        # nothing commits during Develop and somas never move: one read serves
+        # the gene scan and the architectors
+        nearby = entity.grid.query_radius(node.soma_position, cfg.action_scan_radius)
+        for gene in scan_available_actions(node, nearby, entity.entity_clock):
             changes.append(execute_action(gene, node, entity, rng))
-        for pl in entity.grid.query_radius(node.soma_position, cfg.action_scan_radius):
+        for pl in nearby:
             if pl.kind != ARCHITECTOR:
                 continue
             target = pl.properties.get("target_action")

@@ -18,7 +18,7 @@ from eden.cli import EXIT_OK, main
 from eden.config import EngineConfig
 from eden.functome import Functome, functome_hash, node_hash
 from eden.grid import TRANSMITTER, NeuralGrid
-from eden.node import ProcessNode, SpikeDistribution, stability_index
+from eden.node import ProcessNode, stability_index
 from eden.runner import InputProbe, run_epoch, seed_entity
 from eden import store
 
@@ -131,14 +131,14 @@ def test_criterion_03_stability_index_against_brute_force(capsys):
         rng = random.Random(303)
         for _ in range(1000):
             n = rng.randint(2, 16)
-            a = SpikeDistribution(n, counts=[rng.randrange(80) for _ in range(n)])
-            b = SpikeDistribution(n, counts=[rng.randrange(80) for _ in range(n)])
+            a = [rng.randrange(80) for _ in range(n)]
+            b = [rng.randrange(80) for _ in range(n)]
             si = stability_index(a, b)
-            expected = 1.0 / max(kl_oracle(a.counts, b.counts), 1.0)
+            expected = 1.0 / max(kl_oracle(a, b), 1.0)
             assert abs(si - expected) <= 1e-10
             assert 0.0 < si <= 1.0
-        same = SpikeDistribution(6, counts=[3, 0, 9, 0, 0, 1])
-        assert stability_index(same, same.copy()) == 1.0
+        same = [3, 0, 9, 0, 0, 1]
+        assert stability_index(same, list(same)) == 1.0
 
 
 def test_criterion_04_hand_traced_spike_mechanics(capsys):
@@ -218,8 +218,8 @@ def test_criterion_06_prune_semantics(capsys):
         entity = seed_entity(EngineConfig(initial_nodes=3, dim_xy=3, dim_z=4, seed=607))
         victim = entity.nodes[min(entity.nodes)]
         victim.stimulated_this_epoch = True
-        victim.spike_dist_prev = SpikeDistribution(4, counts=[400, 0, 0, 0])
-        victim.spike_dist_curr = SpikeDistribution(4, counts=[0, 0, 0, 400])
+        victim.spike_dist_prev = [400, 0, 0, 0]
+        victim.spike_dist_curr = [0, 0, 0, 400]
         from eden.runner import evaluate_prune_phase
         pruned, _ = evaluate_prune_phase(entity, stability_prune_threshold=0.3)
         assert pruned == [victim.id]

@@ -172,6 +172,25 @@ class TestTrainRejectsBadInputBeforeEpochZero:
         }]}))
         self._train(tmp_path, state_path, "--pattern", str(pattern))
 
+    @pytest.mark.parametrize("key, damage", [
+        ("spike_dist_curr", lambda v: v[:2]),
+        ("spike_dist_prev", lambda v: v + [0]),
+        ("spike_dist_prev", lambda v: [-1] + v[1:]),
+        ("dendrites", lambda v: v * 5),  # 10 dendrites on a 3x3 entry plane
+        ("goal", lambda v: {"z_index": 4, "target_p": [[0.0] * 3] * 3}),  # dim_z is 4
+        ("goal", lambda v: {"z_index": -1, "target_p": [[0.0] * 3] * 3}),
+        ("goal", lambda v: {"z_index": 0, "target_p": [[0.0] * 2] * 2}),
+    ], ids=["curr-2-bins", "prev-5-bins", "prev-negative-count", "10-dendrites",
+            "goal-z-4", "goal-z-minus-1", "goal-2x2"])
+    def test_malformed_node_in_the_state(self, tmp_path, state_path, key, damage):
+        pattern = write_pattern(tmp_path, state_path)  # stimulates node 0
+        doc = json.load(open(state_path))
+        node = doc["entity"]["nodes"][0]
+        node[key] = damage(node[key])
+        with open(state_path, "w") as fh:
+            json.dump(doc, fh)
+        self._train(tmp_path, state_path, "--pattern", pattern)
+
 
 class TestLockUnlock:
     def test_roundtrip(self, state_path):

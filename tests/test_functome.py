@@ -20,6 +20,11 @@ def make_entity(**overrides):
     return seed_entity(cfg)
 
 
+def nearby(grid, node):
+    """The neighbourhood Develop passes to the gene scan, at a scan radius of 2."""
+    return grid.query_radius(node.soma_position, 2.0)
+
+
 def fresh_node(entity=None):
     entity = entity or make_entity(initial_nodes=1, seed=3)
     return entity, entity.nodes[min(entity.nodes)]
@@ -55,31 +60,31 @@ class TestPrerequisites:
     def test_entity_clock_gate(self):
         entity, node = fresh_node()
         gene = self._gene("EnabledAfterEntityClock", entity_clock=5)
-        assert not check_prerequisite(gene, node, entity.grid, 4, 2.0)
-        assert check_prerequisite(gene, node, entity.grid, 5, 2.0)
+        assert not check_prerequisite(gene, node, nearby(entity.grid, node), 4)
+        assert check_prerequisite(gene, node, nearby(entity.grid, node), 5)
 
     def test_node_clock_range(self):
         entity, node = fresh_node()
         gene = self._gene("AllowOn_ProcessNodeClockRange", min_clock=2, max_clock=4)
         for clock, expected in ((1, False), (2, True), (4, True), (5, False)):
             node.node_clock = clock
-            assert check_prerequisite(gene, node, entity.grid, 0, 2.0) is expected
+            assert check_prerequisite(gene, node, nearby(entity.grid, node), 0) is expected
 
     def test_clock_frequency_window(self):
         entity, node = fresh_node()
         gene = self._gene("AllowOn_ClockFrequency", min_spikes=1, max_spikes=3)
         node.spike_count_epoch = 0
-        assert not check_prerequisite(gene, node, entity.grid, 0, 2.0)
+        assert not check_prerequisite(gene, node, nearby(entity.grid, node), 0)
         node.spike_count_epoch = 2
-        assert check_prerequisite(gene, node, entity.grid, 0, 2.0)
+        assert check_prerequisite(gene, node, nearby(entity.grid, node), 0)
 
     def test_energy_requirement_reads_residual(self):
         entity, node = fresh_node()
         gene = self._gene("EnergyRequirement", min_energy=1.0)
         node.cem.p.fill(0.0)
-        assert not check_prerequisite(gene, node, entity.grid, 0, 2.0)
+        assert not check_prerequisite(gene, node, nearby(entity.grid, node), 0)
         node.cem.p[0, 0, 0] = 1.5
-        assert check_prerequisite(gene, node, entity.grid, 0, 2.0)
+        assert check_prerequisite(gene, node, nearby(entity.grid, node), 0)
 
     def test_transmitter_presence_and_count(self):
         entity, node = fresh_node()
@@ -91,10 +96,10 @@ class TestPrerequisites:
         absent = self._gene("TransmitterPresent", index=6)
         enough = self._gene("TransmitterPresentPayloadCount", index=5, min_count=2)
         toomany = self._gene("TransmitterPresentPayloadCount", index=5, min_count=3)
-        assert check_prerequisite(present, node, grid, 0, 2.0)
-        assert not check_prerequisite(absent, node, grid, 0, 2.0)
-        assert check_prerequisite(enough, node, grid, 0, 2.0)
-        assert not check_prerequisite(toomany, node, grid, 0, 2.0)
+        assert check_prerequisite(present, node, nearby(grid, node), 0)
+        assert not check_prerequisite(absent, node, nearby(grid, node), 0)
+        assert check_prerequisite(enough, node, nearby(grid, node), 0)
+        assert not check_prerequisite(toomany, node, nearby(grid, node), 0)
 
     def test_architector_presence_distinct_from_transmitter(self):
         entity, node = fresh_node()
@@ -102,16 +107,16 @@ class TestPrerequisites:
         grid.deposit(grid.new_payload(TRANSMITTER, 1, node.soma_position, 1.0, 3))
         grid.commit()
         gene = self._gene("ArchitectorPresent", index=1)
-        assert not check_prerequisite(gene, node, grid, 0, 2.0)
+        assert not check_prerequisite(gene, node, nearby(grid, node), 0)
         grid.deposit(grid.new_payload(ARCHITECTOR, 1, node.soma_position, 1.0, 3))
         grid.commit()
-        assert check_prerequisite(gene, node, grid, 0, 2.0)
+        assert check_prerequisite(gene, node, nearby(grid, node), 0)
 
     def test_missing_params_never_fire(self):
         entity, node = fresh_node()
         gene = self._gene("TransmitterPresent")  # no index param
-        assert not check_prerequisite(gene, node, entity.grid, 0, 2.0)
-        assert not check_prerequisite(gene, node, entity.grid, 0, 2.0)
+        assert not check_prerequisite(gene, node, nearby(entity.grid, node), 0)
+        assert not check_prerequisite(gene, node, nearby(entity.grid, node), 0)
 
     def test_missing_params_scan_leaves_genome_unchanged(self, caplog):
         entity, node = fresh_node()
@@ -120,7 +125,7 @@ class TestPrerequisites:
         before = functome_hash(node.functome)
         with caplog.at_level(logging.WARNING, logger="eden.functome"):
             for _ in range(3):
-                assert scan_available_actions(node, entity.grid, 0, 2.0) == []
+                assert scan_available_actions(node, nearby(entity.grid, node), 0) == []
         assert gene.params == {}
         assert functome_hash(node.functome) == before
         assert [r.getMessage() for r in caplog.records] == [
@@ -135,7 +140,7 @@ class TestPrerequisites:
                        prerequisite="EnabledAfterEntityClock",
                        params={"entity_clock": 0}),
         ]
-        hits = scan_available_actions(node, entity.grid, 10, 2.0)
+        hits = scan_available_actions(node, nearby(entity.grid, node), 10)
         assert [g.action for g in hits] == ["StimulateNeuroGenesis"]
 
 

@@ -7,7 +7,7 @@ import pytest
 from eden.config import EngineConfig
 from eden.functome import ActionGene, functome_hash
 from eden.grid import TRANSMITTER
-from eden.node import Dendrite, SpikeDistribution
+from eden.node import Dendrite
 from eden.runner import (Entity, InputProbe, OutputProbe, check_input_probe,
                          develop_phase, evaluate_prune_phase, propagate_phase,
                          run_epoch, seed_entity)
@@ -116,8 +116,8 @@ class TestEvaluatePrunePhase:
         victim = entity.nodes[min(entity.nodes)]
         victim.stimulated_this_epoch = True
         dim_z = victim.cem.dim_z
-        victim.spike_dist_prev = SpikeDistribution(dim_z, counts=[400] + [0] * (dim_z - 1))
-        victim.spike_dist_curr = SpikeDistribution(dim_z, counts=[0] * (dim_z - 1) + [400])
+        victim.spike_dist_prev = [400] + [0] * (dim_z - 1)
+        victim.spike_dist_curr = [0] * (dim_z - 1) + [400]
         pruned, _ = evaluate_prune_phase(entity, stability_prune_threshold=0.3)
         assert pruned == [victim.id]
         assert victim.id not in entity.nodes
@@ -126,8 +126,8 @@ class TestEvaluatePrunePhase:
         entity = seed_entity(small_config())
         node = entity.nodes[min(entity.nodes)]
         node.stimulated_this_epoch = True
-        node.spike_dist_curr.record(1)
-        node.spike_dist_prev.record(1)
+        node.spike_dist_curr[1] += 1
+        node.spike_dist_prev[1] += 1
         pruned, _ = evaluate_prune_phase(entity, stability_prune_threshold=0.3)
         assert pruned == []
 
@@ -184,6 +184,35 @@ class TestDevelopPhase:
         develop_phase(entity)
         after = {fid: functome_hash(f) for fid, f in entity.functomes.items()}
         assert after == before
+
+    def test_reads_each_neighbourhood_once(self, monkeypatch):
+        entity = seed_entity(small_config())
+        grid = entity.grid
+        for nid in sorted(entity.nodes):
+            node = entity.nodes[nid]
+            node.functome.genes = [
+                ActionGene(action="AllowTransmitterIndexProduction",
+                           prerequisite="TransmitterPresent",
+                           params={"index": index, "produce_index": index})
+                for index in (1, 2, 3)]
+            grid.deposit(grid.new_payload(TRANSMITTER, 2, node.soma_position, 1.0, 3))
+        grid.commit()
+        calls = []
+        query_radius = type(grid).query_radius
+
+        def counted(self, center, r):
+            calls.append((tuple(center), r))
+            return query_radius(self, center, r)
+
+        monkeypatch.setattr(type(grid), "query_radius", counted)
+        allowed = {nid: set(n.allowed_tx_indices) for nid, n in entity.nodes.items()}
+        develop_phase(entity)
+        radius = entity.config.action_scan_radius
+        assert calls == [(entity.nodes[nid].soma_position, radius)
+                         for nid in sorted(entity.nodes)]
+        # the one list served every gene: only the index present passed
+        for nid, node in entity.nodes.items():
+            assert node.allowed_tx_indices == allowed[nid] | {2}
 
 
 class TestRunEpoch:
