@@ -7,21 +7,37 @@ forwards a sigmoid-transferred share to exactly one cell of the next plane,
 chosen by its router. A plane whose accumulated energy reaches the minimum
 threshold spikes.
 
-A plane holds a few energized cells, so the pass works on Python values, not
-per-element numpy reads: it reads a plane's energy, weights and routers once
-each with ``tolist``, looks each route up in ``router_targets`` (edge-clamped,
-cached per lattice size), sums each target's transfers in row-major cell order
-from 0.0 and adds the plane of sums into the next plane in one array add. The
-plane energy stays numpy's sum of the strided plane: numpy sums it pairwise in
-an order a Python loop would have to copy, and the trajectories depend on it.
+A plane holds a few energized cells, so the pass is sparse and makes no numpy
+call per plane. Each plane's energy is a dict from the row-major flat index
+``x*n + y`` to its value. Weights and routers are read per cell through flat
+``memoryview``s of the C-contiguous lattices, made on each pass; each route is
+looked up in ``router_targets`` (edge-clamped, cached per lattice size); each
+target's transfers are summed in row-major cell order from 0.0. The plane
+energy is ``plane_sum``, an exact copy of numpy's float64 pairwise sum of the
+plane, which the trajectories depend on; absent cells count as +0.0, so it
+runs over the energized cells only. Each visited plane is written into ``p``
+once, so after a pass ``p`` and ``plane_energy_acc`` hold what a dense pass
+leaves, and the goal plane, backprop and the stale-router sweep read them.
+
+A pass starts from a cleared lattice: every value of ``p`` and
+``plane_energy_acc`` is +0.0 (not -0.0). The engine runs one pass per node
+per epoch and clears the energy after a spike or at epoch end, and a tensor
+is built cleared, so ``forward_propagate`` raises ``StructureError`` rather
+than drop energy an earlier pass left.
 
 Each pass is recorded once in ``last_trace``, valid until ``reset_propagation``:
 per plane, the energized cells and the next-plane cell each one sent to.
 Backprop reads energy and weights from the lattices in place; a plane is never
 written after it sends, and weights change only after every gradient is known.
+
+Numpy reductions on the trajectory path: none in this module. Plane sums are
+``plane_sum`` and backprop adds per cell; the loss ``backprop_to_goal``
+returns is a numpy sum, but nothing on the trajectory reads it. The one left
+is ``EnergyRequirement``'s ``p.sum()`` in ``eden.functome``.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -42,7 +58,7 @@ class DepositError(ValueError):
 
 
 class StructureError(ValueError):
-    """Mismatched lattice dimensions."""
+    """Mismatched lattice dimensions, or energy where a cleared lattice is due."""
 
 
 @dataclass
@@ -79,13 +95,55 @@ class PropagationTrace:
 
 
 @functools.cache
-def router_targets(n: int) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
-    """``router_targets(n)[option][x][y]``: the next-plane cell that router
-    ``option`` at (x, y) of an n*n plane sends to, clamped at the lattice edge."""
+def router_targets(n: int) -> tuple[tuple[int, ...], ...]:
+    """``router_targets(n)[option][k]``: the flat index of the next-plane cell
+    that router ``option`` at flat index ``k = x*n + y`` of an n*n plane sends
+    to, clamped at the lattice edge."""
     return tuple(
-        tuple(tuple((min(max(x + dx, 0), n - 1), min(max(y + dy, 0), n - 1))
-                    for y in range(n)) for x in range(n))
+        tuple(min(max(x + dx, 0), n - 1) * n + min(max(y + dy, 0), n - 1)
+              for x in range(n) for y in range(n))
         for dx, dy in ROUTER_OPTIONS)
+
+
+@functools.cache
+def cell_coords(n: int) -> tuple[tuple[int, int], ...]:
+    """``cell_coords(n)[k]``: the (x, y) cell of flat index ``k = x*n + y``."""
+    return tuple((x, y) for x in range(n) for y in range(n))
+
+
+def plane_sum(cells: list[tuple[int, float]], size: int, lo: int = 0) -> float:
+    """Numpy's float64 pairwise sum of a plane of ``size`` cells, bit for bit.
+
+    ``cells`` holds the (flat index, value) pairs of the cells that may be
+    nonzero, in increasing index order; every other cell is +0.0, and adding
+    it changes no sum of values >= +0.0. Numpy adds fewer than 8 values in
+    order from 0.0. It adds up to 128 in 8 accumulators by index mod 8,
+    combines them pairwise and then adds the tail past the last multiple of 8
+    in order. It splits a larger block at a multiple of 8 near its middle.
+    ``lo`` is the block's first flat index, always a multiple of 8.
+    """
+    if size < 8:
+        total = 0.0
+        for _, v in cells:
+            total += v
+        return total
+    if size > 128:
+        half = size // 2 - (size // 2) % 8
+        mid = bisect.bisect_left(cells, (lo + half,))
+        return (plane_sum(cells[:mid], half, lo)
+                + plane_sum(cells[mid:], size - half, lo + half))
+    acc = [0.0] * 8
+    tail = lo + size - size % 8
+    i = 0
+    for k, v in cells:
+        if k >= tail:
+            break
+        acc[k & 7] += v
+        i += 1
+    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for _, v in cells[i:]:
+        total += v
+    return total
 
 
 def transfer(p_val: float, w_val: float, dr: float) -> float:
@@ -113,94 +171,108 @@ class PwrTensor:
         if dim_xy < 1 or dim_z < 1:
             raise StructureError(f"tensor dims must be >= 1, got {dim_xy}x{dim_xy}x{dim_z}")
         shape = (dim_xy, dim_xy, dim_z)
-        self.p = np.zeros(shape) if self.p is None else np.asarray(self.p, dtype=np.float64)
-        self.w = np.ones(shape) if self.w is None else np.asarray(self.w, dtype=np.float64)
+        self.p = (np.zeros(shape) if self.p is None
+                  else np.ascontiguousarray(self.p, dtype=np.float64))
+        self.w = (np.ones(shape) if self.w is None
+                  else np.ascontiguousarray(self.w, dtype=np.float64))
         self.r = (np.full(shape, CENTER, dtype=np.int8) if self.r is None
-                  else np.asarray(self.r, dtype=np.int8))
+                  else np.ascontiguousarray(self.r, dtype=np.int8))
         for name, arr in (("p", self.p), ("w", self.w), ("r", self.r)):
             if arr.shape != shape:
                 raise StructureError(f"{name} lattice shape {arr.shape} != {shape}")
         self.plane_energy_acc = (np.zeros(dim_z) if self.plane_energy_acc is None
-                                 else np.asarray(self.plane_energy_acc, dtype=np.float64))
+                                 else np.ascontiguousarray(self.plane_energy_acc,
+                                                           dtype=np.float64))
+        if self.plane_energy_acc.shape != (dim_z,):
+            raise StructureError(
+                f"plane_energy_acc shape {self.plane_energy_acc.shape} != ({dim_z},)")
+        if not self.cleared():
+            raise StructureError("energy lattice and plane energies must be +0.0 "
+                                 "between passes")
 
     @classmethod
     def random(cls, dim_xy: int, dim_z: int, rng) -> "PwrTensor":
-        """Fresh tensor: zero energy, uniform random weights and routers."""
-        t = cls(dim_xy, dim_z)
-        for x in range(dim_xy):
-            for y in range(dim_xy):
-                for z in range(dim_z):
-                    t.w[x, y, z] = rng.random()
-                    t.r[x, y, z] = rng.randrange(len(ROUTER_OPTIONS))
-        return t
+        """Fresh tensor: zero energy, uniform random weights and routers, drawn
+        per cell (weight, then router) in x, y, z order."""
+        ws, rs = [], []
+        for _ in range(dim_xy * dim_xy * dim_z):
+            ws.append(rng.random())
+            rs.append(rng.randrange(len(ROUTER_OPTIONS)))
+        shape = (dim_xy, dim_xy, dim_z)
+        return cls(dim_xy, dim_z, w=np.array(ws).reshape(shape),
+                   r=np.array(rs, dtype=np.int8).reshape(shape))
+
+    def cleared(self) -> bool:
+        """Whether every energy and plane energy value is +0.0 (-0.0 is not)."""
+        return not (self.p.view(np.uint64).any()
+                    or self.plane_energy_acc.view(np.uint64).any())
 
     # -- forward path ------------------------------------------------------
-
-    def accumulate_plane_energy(self, z: int, at_mod: float = 1.0) -> float:
-        """PE_z = at_mod * PE_{z-1} + sum of plane z, with PE_{-1} = 0."""
-        if not (0 <= z < self.dim_z):
-            raise IndexError(f"plane {z} out of range [0, {self.dim_z})")
-        prev = self.plane_energy_acc[z - 1] if z > 0 else 0.0
-        pe = at_mod * prev + float(self.p[:, :, z].sum())
-        self.plane_energy_acc[z] = pe
-        return pe
 
     def forward_propagate(self, deposits, min_e: float, dr: float,
                           at_mod: float = 1.0) -> Optional[SpikeEvent]:
         """Run one recursive pass across z; spike as soon as PE_z >= min_e.
 
+        PE_z = at_mod * PE_{z-1} + the sum of plane z, with PE_{-1} = 0.
         Deposits land on the entry plane (z=0). Cells that do not trigger a
         spike each forward their transferred energy to the single next-plane
         cell their router selects; lateral offsets clamp at the lattice edge.
         Residual energy is retained when no plane spikes. The pass is recorded
-        in ``last_trace`` for router reinforcement and backprop.
+        in ``last_trace`` for router reinforcement and backprop. It starts
+        from a cleared lattice: after a pass, ``reset_propagation`` comes
+        before the next one.
         """
-        n = self.dim_xy
+        n, dim_z = self.dim_xy, self.dim_z
+        if not self.cleared():
+            raise StructureError("energy lattice holds an earlier pass; "
+                                 "reset_propagation before the next one")
+        plane: dict[int, float] = {}
         for x, y, mag in deposits:
             if not (0 <= x < n and 0 <= y < n):
                 raise DepositError(f"deposit at ({x}, {y}) outside {n}x{n} entry plane")
-            self.p[x, y, 0] = max(0.0, self.p[x, y, 0] + mag)
+            k = x * n + y
+            plane[k] = max(0.0, plane.get(k, 0.0) + mag)
 
         trace = PropagationTrace()
         self.last_trace = trace
-        targets = router_targets(n)
-        p, w, r = self.p, self.w, self.r
-        for z in range(self.dim_z):
-            pe = self.accumulate_plane_energy(z, at_mod)
-            plane = p[:, :, z]
-            xs, ys = (plane > 0.0).nonzero()
-            cells = list(zip(xs.tolist(), ys.tolist()))
-            trace.energized.append(cells)
+        targets, coords, size = router_targets(n), cell_coords(n), n * n
+        p = self.p.data.cast("B").cast("d")
+        w = self.w.data.cast("B").cast("d")
+        r = self.r.data.cast("B").cast("b")
+        acc = self.plane_energy_acc.data
+        pe = 0.0
+        for z in range(dim_z):
+            # values are >= +0.0; a zero stays the cleared lattice's +0.0
+            cells = sorted((k, v) for k, v in plane.items() if v > 0.0)
+            for k, v in cells:
+                p[k * dim_z + z] = v
+            pe = at_mod * pe + plane_sum(cells, size)
+            acc[z] = pe
+            trace.energized.append([coords[k] for k, _ in cells])
             if pe >= min_e:
                 trace.spike_z = z
                 return SpikeEvent(z_index=z, plane_energy=pe)
-            if z + 1 >= self.dim_z:
+            if z + 1 >= dim_z:
                 break
-            p_z, w_z, r_z = plane.tolist(), w[:, :, z].tolist(), r[:, :, z].tolist()
-            hops = [targets[r_z[x][y]][x][y] for x, y in cells]
-            trace.hops_by_plane.append(hops)
-            sums: dict[tuple[int, int], float] = {}
-            for (x, y), dst in zip(cells, hops):
-                sums[dst] = sums.get(dst, 0.0) + transfer(p_z[x][y], w_z[x][y], dr)
-            out = np.zeros((n, n))
-            for dst, total in sums.items():
-                out[dst] = total
-            p[:, :, z + 1] += out  # dense: also turns every -0.0 of the plane into +0.0
+            hops = [targets[r[k * dim_z + z]][k] for k, _ in cells]
+            trace.hops_by_plane.append([coords[t] for t in hops])
+            plane = {}
+            for (k, v), t in zip(cells, hops):
+                plane[t] = plane.get(t, 0.0) + transfer(v, w[k * dim_z + z], dr)
         return None
 
     # -- router dynamics ---------------------------------------------------
 
-    def update_routers_on_spike(self, spike: SpikeEvent) -> set[tuple[int, int, int]]:
+    def update_routers_on_spike(self, spike: SpikeEvent) -> None:
         """Rewire every cell energized below the spiking plane to the direct route."""
         trace = self.last_trace
         if trace is None or trace.spike_z != spike.z_index:
             raise StructureError("spike does not match the last recorded forward pass")
-        rewired: set[tuple[int, int, int]] = set()
+        n, dim_z = self.dim_xy, self.dim_z
+        r = self.r.data.cast("B").cast("b")
         for z in range(spike.z_index):
             for x, y in trace.energized[z]:
-                self.r[x, y, z] = CENTER
-                rewired.add((x, y, z))
-        return rewired
+                r[(x * n + y) * dim_z + z] = CENTER
 
     def randomize_stale_routers(self, rng) -> int:
         """Give every still-energized cell a random router; epoch-end, no spike."""

@@ -3,6 +3,12 @@
 Action and prerequisite vocabularies are closed; serialized genes carry the
 exact canonical strings (including the historical spelling "Dentrite_*") and
 anything else is a load error.
+
+``EnergyRequirement`` compares ``float(node.cem.p.sum())``, numpy's float64
+pairwise sum of the whole energy lattice, with its threshold. It is the one
+numpy reduction left on the epoch path (``eden.cem`` lists none of its own);
+``tests/test_reference.py`` replays the benchmark workloads with numpy's
+AVX-512 kernels off to show the trajectories do not depend on them.
 """
 from __future__ import annotations
 

@@ -9,8 +9,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from eden.cem import (CENTER, ROUTER_OPTIONS, DepositError, GoalPlane,
                       PropagationTrace, PwrTensor, SpikeEvent, StructureError,
-                      transfer)
+                      plane_sum, transfer)
 from eden.codec import decode, encode
+
+
+# values that leave a lattice uncleared: a pass must start from all +0.0
+UNCLEARED = [("p", 0.5), ("p", -0.0), ("plane_energy_acc", 0.5), ("plane_energy_acc", -0.0)]
 
 
 def sigmoid_oracle(v):
@@ -48,8 +52,9 @@ def forward_oracle(p0, w, routers, deposits, min_e, dr, at_mod=1.0):
 
 def reference_forward_propagate(t, deposits, min_e, dr, at_mod=1.0):
     """The forward pass as a scalar loop: numpy element reads and writes per
-    cell, routes clamped per cell, each target's share accumulated in a dense
-    plane in row-major cell order and added into the next plane at once.
+    cell, the plane energy as numpy's sum of the strided plane, routes clamped
+    per cell, each target's share accumulated in a dense plane in row-major
+    cell order and added into the next plane at once.
 
     ``PwrTensor.forward_propagate`` must reproduce it bit for bit.
     """
@@ -61,7 +66,9 @@ def reference_forward_propagate(t, deposits, min_e, dr, at_mod=1.0):
     trace = PropagationTrace()
     t.last_trace = trace
     for z in range(t.dim_z):
-        pe = t.accumulate_plane_energy(z, at_mod)
+        prev = t.plane_energy_acc[z - 1] if z > 0 else 0.0
+        pe = at_mod * prev + float(t.p[:, :, z].sum())
+        t.plane_energy_acc[z] = pe
         cells = [(int(x), int(y)) for x, y in np.argwhere(t.p[:, :, z] > 0.0)]
         trace.energized.append(cells)
         if pe >= min_e:
@@ -116,6 +123,8 @@ class TestConstruction:
             PwrTensor(0, 4)
         with pytest.raises(StructureError):
             PwrTensor(4, 0)
+        with pytest.raises(StructureError):
+            PwrTensor(2, 3, plane_energy_acc=np.zeros(2))
 
     def test_random_init_ranges(self):
         t = PwrTensor.random(3, 5, random.Random(1))
@@ -123,27 +132,74 @@ class TestConstruction:
         assert np.all((t.w >= 0) & (t.w <= 1))
         assert np.all((t.r >= 0) & (t.r < 9))
 
+    def test_random_draws_weight_then_router_per_cell_in_xyz_order(self):
+        t = PwrTensor.random(3, 4, random.Random(9))
+        rng = random.Random(9)
+        for x, y, z in np.ndindex(3, 3, 4):
+            assert t.w[x, y, z] == rng.random()
+            assert t.r[x, y, z] == rng.randrange(9)
+
+    def test_lattices_are_c_contiguous(self):
+        w = np.asfortranarray(np.arange(36.0).reshape(3, 3, 4) / 36.0)
+        t = PwrTensor(3, 4, p=np.zeros((3, 3, 4), order="F"), w=w,
+                      r=np.asfortranarray(np.full((3, 3, 4), 2, dtype=np.int8)))
+        assert all(a.flags.c_contiguous for a in (t.p, t.w, t.r, t.plane_energy_acc))
+        assert np.array_equal(t.w, w)
+
+    @pytest.mark.parametrize("field, value", UNCLEARED)
+    def test_energy_is_refused(self, field, value):
+        lattices = {"p": np.zeros((2, 2, 3)), "plane_energy_acc": np.zeros(3)}
+        lattices[field].flat[1] = value
+        with pytest.raises(StructureError):
+            PwrTensor(2, 3, **lattices)
+
 
 class TestAccumulatePlaneEnergy:
+    """PE_z = at_mod * PE_{z-1} + plane_sum(plane z), with PE_{-1} = 0."""
+
     def test_empty_plane(self):
+        assert plane_sum([], 16) == 0.0
         t = PwrTensor(4, 4)
-        assert t.accumulate_plane_energy(0) == 0.0
+        t.forward_propagate([], 1e18, 0.0)
+        assert t.plane_energy_acc.tobytes() == bytes(8 * 4)  # +0.0, not -0.0
 
     def test_plane_of_ones(self):
+        assert plane_sum([(k, 1.0) for k in range(16)], 16) == 16.0
         t = PwrTensor(4, 4)
-        t.p[:, :, 0] = 1.0
-        assert t.accumulate_plane_energy(0) == pytest.approx(16.0)
+        t.forward_propagate([(x, y, 1.0) for x in range(4) for y in range(4)], 1.0, 0.0)
+        assert t.plane_energy_acc[0] == 16.0
 
     def test_recursion_carries_previous(self):
         t = PwrTensor(2, 3)
-        t.plane_energy_acc[0] = 1.731
-        t.p[0, 0, 1] = 0.675
-        assert t.accumulate_plane_energy(1) == pytest.approx(2.406)
+        t.forward_propagate([(0, 0, 1.731)], 1e18, 0.0, at_mod=0.5)
+        s1 = transfer(1.731, 1.0, 0.0)
+        assert t.plane_energy_acc[0] == 1.731
+        assert t.plane_energy_acc[1] == 0.5 * 1.731 + s1
+        assert t.plane_energy_acc[2] == 0.5 * (0.5 * 1.731 + s1) + transfer(s1, 1.0, 0.0)
 
     def test_out_of_range(self):
+        # a pass without a spike accumulates every plane and no further
         t = PwrTensor(2, 3)
-        with pytest.raises(IndexError):
-            t.accumulate_plane_energy(3)
+        t.forward_propagate([(1, 0, 0.4)], 1e18, 0.0)
+        assert len(t.last_trace.energized) == 3
+        assert len(t.last_trace.hops_by_plane) == 2
+        assert np.all(t.plane_energy_acc > 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim_xy=st.integers(1, 16),
+           dim_z=st.integers(1, 6), fill=st.floats(0.0, 1.0))
+    def test_plane_sum_is_numpy_sum(self, seed, dim_xy, dim_z, fill):
+        # strided planes of a C-contiguous lattice, below and above the
+        # 128-cell split, from empty to full; magnitudes spread over 10 decades
+        rng = random.Random(seed)
+        lattice = np.zeros((dim_xy, dim_xy, dim_z))
+        for idx in np.ndindex(lattice.shape):
+            if rng.random() < fill:
+                lattice[idx] = rng.uniform(0.0, 2.0) * 10.0 ** rng.randint(-5, 5)
+        for z in range(dim_z):
+            cells = [(k, v) for k, v in enumerate(lattice[:, :, z].ravel().tolist())
+                     if v > 0.0]
+            assert plane_sum(cells, dim_xy * dim_xy) == float(lattice[:, :, z].sum())
 
 
 class TestForwardPropagate:
@@ -194,27 +250,25 @@ class TestForwardPropagate:
                 assert spike.plane_energy == pytest.approx(ope, abs=1e-9)
 
     @settings(max_examples=300, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1), dim_xy=st.integers(1, 9),
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim_xy=st.integers(1, 12),
            dim_z=st.integers(1, 12), min_e_per_cell=st.floats(0.1, 10.0),
-           fill=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+           fill=st.sampled_from([0.0, 0.1, 0.5, 1.0]), frames=st.integers(1, 4),
            dr=st.sampled_from([0.0, 0.05, 0.3, 0.6]), at_mod=st.sampled_from([1.0, 0.8]),
            passes=st.integers(1, 5))
     def test_matches_scalar_reference_exactly(self, seed, dim_xy, dim_z, min_e_per_cell,
-                                              fill, dr, at_mod, passes):
+                                              fill, frames, dr, at_mod, passes):
         # a threshold that scales with the plane lets dense planes climb
         # too, where several cells send to one target and order matters
         min_e = min_e_per_cell * dim_xy * dim_xy
         rng = random.Random(seed)
         t = PwrTensor.random(dim_xy, dim_z, rng)
-        # residual energy on a `fill` share of the cells of every plane; the
-        # rest exact zeros of both signs (a save state can carry -0.0, which
-        # the dense add into the next plane turns into +0.0)
-        for idx in np.ndindex(t.p.shape):
-            t.p[idx] = rng.uniform(0.0, 2.0) if rng.random() < fill else rng.choice([0.0, -0.0])
         ref = copy.deepcopy(t)
-        for _ in range(passes):  # no reset: energy piles up pass after pass
-            deposits = [(rng.randrange(dim_xy), rng.randrange(dim_xy), rng.uniform(-0.5, 2.0))
-                        for _ in range(rng.randint(0, 4))]
+        for _ in range(passes):  # one pass per epoch, each from cleared energy
+            # an epoch's input: `frames` rounds of deposits on a `fill` share
+            # of the entry cells, some cancelling, some negative
+            deposits = [(x, y, rng.uniform(-0.5, 2.0)) for _ in range(frames)
+                        for x in range(dim_xy) for y in range(dim_xy) if rng.random() < fill]
+            rng.shuffle(deposits)
             spike = t.forward_propagate(deposits, min_e, dr, at_mod)
             ref_spike = reference_forward_propagate(ref, deposits, min_e, dr, at_mod)
             assert spike == ref_spike
@@ -224,6 +278,35 @@ class TestForwardPropagate:
             if spike is not None:
                 t.update_routers_on_spike(spike)
                 ref.update_routers_on_spike(ref_spike)
+                assert t.r.tobytes() == ref.r.tobytes()
+            t.reset_propagation()
+            ref.reset_propagation()
+
+    def test_second_pass_without_reset_raises(self):
+        t = PwrTensor(2, 3)
+        assert t.forward_propagate([(0, 0, 0.5)], 100.0, 0.0) is None
+        before = (t.p.copy(), t.plane_energy_acc.copy())
+        with pytest.raises(StructureError):
+            t.forward_propagate([(1, 1, 0.5)], 100.0, 0.0)
+        # the residual is neither dropped nor added to
+        assert np.array_equal(t.p, before[0])
+        assert np.array_equal(t.plane_energy_acc, before[1])
+        t.reset_propagation()
+        assert t.forward_propagate([(1, 1, 0.5)], 100.0, 0.0) is None
+
+    def test_pass_after_a_spike_without_reset_raises(self):
+        t = PwrTensor(2, 3)
+        spike = t.forward_propagate([(0, 0, 5.0)], 2.0, 0.0)
+        t.update_routers_on_spike(spike)
+        with pytest.raises(StructureError):
+            t.forward_propagate([(0, 0, 5.0)], 2.0, 0.0)
+
+    @pytest.mark.parametrize("field, value", UNCLEARED)
+    def test_energy_written_outside_a_pass_raises(self, field, value):
+        t = PwrTensor(2, 3)
+        getattr(t, field).flat[1] = value
+        with pytest.raises(StructureError):
+            t.forward_propagate([(0, 0, 1.0)], 100.0, 0.0)
 
     def test_center_routers_no_lateral_spread(self):
         t = PwrTensor(4, 6)
@@ -237,15 +320,18 @@ class TestRouterUpdates:
     def test_spike_at_entry_rewires_nothing(self):
         t = PwrTensor(4, 4, r=np.zeros((4, 4, 4)))
         spike = t.forward_propagate([(0, 0, 5.0)], 2.0, 0.0)
-        assert t.update_routers_on_spike(spike) == set()
+        t.update_routers_on_spike(spike)
+        assert np.all(t.r == 0)
 
     def test_single_path_rewired_to_center(self):
         t = PwrTensor(4, 4)
-        t.r.fill(CENTER)
+        t.r.fill(0)  # every router sends to (x-1, y-1), clamped
         spike = t.forward_propagate([(1, 1, 1.0)], 2.0, 0.0)
-        rewired = t.update_routers_on_spike(spike)
-        assert rewired == {(1, 1, 0), (1, 1, 1)}
-        assert all(t.r[x, y, z] == CENTER for x, y, z in rewired)
+        assert spike.z_index == 2  # (1, 1, 0) -> (0, 0, 1) -> (0, 0, 2)
+        t.update_routers_on_spike(spike)
+        expected = np.zeros((4, 4, 4), dtype=np.int8)
+        expected[1, 1, 0] = expected[0, 0, 1] = CENTER
+        assert np.array_equal(t.r, expected)
 
     def test_unenergized_cells_untouched(self):
         t = PwrTensor(4, 4)
@@ -324,9 +410,7 @@ class TestReset:
 
 def run_loss(tensor_dict, deposits, goal, dr):
     """Forward from a clean state, then squared error at the goal plane."""
-    t = decode(PwrTensor, tensor_dict)
-    t.p.fill(0.0)
-    t.plane_energy_acc.fill(0.0)
+    t = decode(PwrTensor, {**tensor_dict, "p": None, "plane_energy_acc": None})
     t.forward_propagate(deposits, 1e18, dr)
     diff = goal.target_p - t.p[:, :, goal.z_index]
     return 0.5 * float((diff * diff).sum())
@@ -451,7 +535,8 @@ class TestPassRecord:
         rng = random.Random(seed)
         t = PwrTensor.random(dim_xy, dim_z, rng)
         spike = None
-        for _ in range(20):  # residual energy builds up until a plane spikes
+        for _ in range(20):  # one pass per epoch, from cleared energy, until a plane spikes
+            t.reset_propagation()
             deposits = [(rng.randrange(dim_xy), rng.randrange(dim_xy), rng.uniform(-0.5, 2.0))
                         for _ in range(rng.randint(1, 4))]
             spike = t.forward_propagate(deposits, min_e, dr)
@@ -505,7 +590,9 @@ class TestDeterminism:
                 spike = t.forward_propagate([(k % 4, (k + 1) % 4, 0.7)], 3.0, 0.1)
                 if spike is not None:
                     t.update_routers_on_spike(spike)
-                    t.reset_propagation()
+                else:
+                    t.randomize_stale_routers(rng)
+                t.reset_propagation()  # epoch end
             states.append(encode(t))
         assert states[0] == states[1]
 

@@ -134,6 +134,12 @@ class TestTrain:
         assert records[1]["environment_events"] == []
 
 
+def with_energy_cell(cem):
+    """A saved CEM whose energy lattice holds 0.5 at cell (0, 0, 0)."""
+    cem["p"][0][0][0] = 0.5
+    return cem
+
+
 class TestTrainRejectsBadInputBeforeEpochZero:
     """Input that would fail mid-run exits 4 before any epoch, touching nothing."""
 
@@ -180,8 +186,9 @@ class TestTrainRejectsBadInputBeforeEpochZero:
         ("goal", lambda v: {"z_index": 4, "target_p": [[0.0] * 3] * 3}),  # dim_z is 4
         ("goal", lambda v: {"z_index": -1, "target_p": [[0.0] * 3] * 3}),
         ("goal", lambda v: {"z_index": 0, "target_p": [[0.0] * 2] * 2}),
+        ("cem", with_energy_cell),  # a saved lattice is cleared
     ], ids=["curr-2-bins", "prev-5-bins", "prev-negative-count", "10-dendrites",
-            "goal-z-4", "goal-z-minus-1", "goal-2x2"])
+            "goal-z-4", "goal-z-minus-1", "goal-2x2", "energy-cell-0.5"])
     def test_malformed_node_in_the_state(self, tmp_path, state_path, key, damage):
         pattern = write_pattern(tmp_path, state_path)  # stimulates node 0
         doc = json.load(open(state_path))

@@ -7,12 +7,15 @@ node spikes and backpropagates every epoch) and `resume` seed 0 (one cycle of
 `eden train` sessions, each loading, training and saving the state) and
 digests them as `perfbench/run.py` does, so a one-ulp drift in the grid
 queries, the CEM, the store or anything else on the epoch path fails here.
+`grow` and `deep` are also replayed in a child process with numpy's AVX-512
+kernels disabled, so a trajectory cannot depend on the host's SIMD dispatch.
 Only reads `perfbench/`; re-record the reference there for an intended change.
 """
 import hashlib
 import importlib.util
 import json
 import os
+import subprocess
 import sys
 
 from eden.cli import main
@@ -77,3 +80,39 @@ def test_resume_seed_0_matches_reference_digest(tmp_path):
     reference = recorded("resume", 0)
     assert joined_digest([log_digest]) == reference["trajectory_digest"]
     assert os.path.getsize(inputs.state) == reference["state_bytes"]
+
+
+# Replays grow and deep seed 0 in a child process whose numpy runs without its
+# AVX-512 (x86-64-v4) kernels; prints the digests and whether that dispatch is off.
+REPLAY_WITHOUT_AVX512 = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:
+    from numpy.core._multiarray_umath import __cpu_features__
+import test_reference as ref
+w = ref.load_workloads()
+print(json.dumps({
+    "avx512_skx": bool(__cpu_features__.get("AVX512_SKX")),
+    "grow": ref.trajectory_digest((w.build_grow(0, v) for v in range(4)),
+                                  w.GROW_EPISODE_EPOCHS),
+    "deep": ref.trajectory_digest([w.build_deep(0)], w.DEEP_EPISODE_EPOCHS),
+}))
+"""
+
+
+def test_grow_and_deep_digests_do_not_depend_on_avx512_dispatch():
+    """A state resumed on a host without AVX-512 follows the same trajectory:
+    nothing on the epoch path may depend on which SIMD kernels numpy picks."""
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(tests), "src")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", REPLAY_WITHOUT_AVX512, tests],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    child = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert not child["avx512_skx"]  # the variable took effect, or there is no AVX-512
+    assert child["grow"] == recorded("grow", 0)["trajectory_digest"]
+    assert child["deep"] == recorded("deep", 0)["trajectory_digest"]
