@@ -58,7 +58,8 @@ class DepositError(ValueError):
 
 
 class StructureError(ValueError):
-    """Mismatched lattice dimensions, or energy where a cleared lattice is due."""
+    """Mismatched lattice dimensions, a router value that is no option, or energy
+    where a cleared lattice is due."""
 
 
 @dataclass
@@ -175,8 +176,24 @@ class PwrTensor:
                   else np.ascontiguousarray(self.p, dtype=np.float64))
         self.w = (np.ones(shape) if self.w is None
                   else np.ascontiguousarray(self.w, dtype=np.float64))
-        self.r = (np.full(shape, CENTER, dtype=np.int8) if self.r is None
-                  else np.ascontiguousarray(self.r, dtype=np.int8))
+        if self.r is None:
+            self.r = np.full(shape, CENTER, dtype=np.int8)
+        else:
+            raw = self.r
+            bad_routers = f"router values must be integers in [0, {len(ROUTER_OPTIONS)})"
+            try:
+                self.r = np.ascontiguousarray(raw, dtype=np.int8)
+            except (OverflowError, ValueError) as exc:  # a listed value past int8, or NaN
+                raise StructureError(f"{bad_routers}: {exc}") from exc
+            # The cast truncates 0.5 and wraps an array's 300, so it must give back
+            # the raw values. A loaded lattice is nested lists, compared as lists:
+            # cheaper than casting them again, and an int64 copy per node raised
+            # the peak memory of the resume benchmark by ~4 MB.
+            same = self.r is raw or (self.r.tolist() == raw if isinstance(raw, list)
+                                     else (self.r == raw).all())
+            # read as uint8, a negative router is >= 128, so one max checks [0, 9)
+            if not same or self.r.view(np.uint8).max(initial=0) >= len(ROUTER_OPTIONS):
+                raise StructureError(bad_routers)
         for name, arr in (("p", self.p), ("w", self.w), ("r", self.r)):
             if arr.shape != shape:
                 raise StructureError(f"{name} lattice shape {arr.shape} != {shape}")

@@ -5,9 +5,13 @@ truth, and the save state and tracing read it. Deposits and removals are
 staged and applied at an explicit commit barrier, so every query between two
 commits sees the same frozen state. Payloads change only in `commit` and
 `decay_and_expire`, and both end in `_rebuild_index`, which derives what the
-queries read from that frozen state: uniform-cell buckets of positions and
-per-index lists of (position, magnitude). Callers that need one neighbourhood
-several times between commits read it once and pass the list on.
+queries read from that frozen state in one pid-order pass: uniform-cell
+buckets of positions, the same buckets per `(index, cell)` holding
+transmitters only, and per-index lists of (position, magnitude). A dendrite
+collects through `query_radius` restricted to the transmitter indices it
+accepts, so it reads only the buckets of those indices; an unrestricted query
+reads every payload kind. Callers that need one neighbourhood several times
+between commits read it once and pass the list on.
 
 Queries keep the arithmetic of the plain definitions bit for bit: `math.exp`
 and sequential pid-order accumulation in the gradient, `(a - c) ** 2` in the
@@ -62,6 +66,8 @@ class NeuralGrid:
     _pending_removals: list[int] = field(default_factory=list, init=False)
     # derived from `payloads` by _rebuild_index
     _cells: dict[tuple[int, int, int], list[tuple[int, tuple]]] = field(
+        default_factory=dict, init=False)
+    _transmitter_cells: dict[tuple[int, int, int, int], list[tuple[int, tuple]]] = field(
         default_factory=dict, init=False)
     _by_index: dict[int, list[tuple[tuple, float]]] = field(default_factory=dict, init=False)
     # per-epoch counters, read and reset by the epoch runner
@@ -129,31 +135,54 @@ class NeuralGrid:
         """Derive the query structures from the committed payloads, in pid order.
 
         Called after every change to `payloads`: cell buckets of (pid,
-        position) for `query_radius` and per-index (position, magnitude) lists
-        for the gradient.
+        position) for unfiltered `query_radius`, the same buckets split by
+        `(index, cell)` and holding transmitters only for the filtered one, and
+        per-index (position, magnitude) lists for the gradient. Each cell is
+        computed inline and equals `_cell_of(position)`.
         """
-        self._cells = {}
-        self._by_index = {}
-        for pid in sorted(self.payloads):
-            pl = self.payloads[pid]
-            self._cells.setdefault(self._cell_of(pl.position), []).append((pid, pl.position))
-            self._by_index.setdefault(pl.index, []).append((pl.position, pl.magnitude))
+        floor, cs = math.floor, self.cell_size
+        cells, transmitter_cells, by_index = {}, {}, {}
+        payloads = self.payloads
+        for pid in sorted(payloads):
+            pl = payloads[pid]
+            pos = x, y, z = pl.position
+            cell = (floor(x / cs), floor(y / cs), floor(z / cs))
+            entry = (pid, pos)
+            cells.setdefault(cell, []).append(entry)
+            if pl.kind == TRANSMITTER:
+                transmitter_cells.setdefault((pl.index, *cell), []).append(entry)
+            by_index.setdefault(pl.index, []).append((pos, pl.magnitude))
+        self._cells = cells
+        self._transmitter_cells = transmitter_cells
+        self._by_index = by_index
 
-    def query_radius(self, center, r: float) -> list[TransArchPayload]:
-        """Committed payloads within Euclidean distance r, ordered by (distance, pid)."""
+    def query_radius(self, center, r: float, transmitter_indices: Optional[Iterable[int]] = None
+                     ) -> list[TransArchPayload]:
+        """Committed payloads within Euclidean distance r, ordered by (distance, pid).
+
+        Given `transmitter_indices`, only the transmitters of those indices:
+        the same subsequence that filtering the full result by kind and index
+        leaves.
+        """
         if r < 0:
             raise GridError(f"radius must be >= 0, got {r}")
         c0, c1, c2 = center
         lo = self._cell_of((c0 - r, c1 - r, c2 - r))
         hi = self._cell_of((c0 + r, c1 + r, c2 + r))
+        xs, ys, zs = range(lo[0], hi[0] + 1), range(lo[1], hi[1] + 1), range(lo[2], hi[2] + 1)
+        if transmitter_indices is None:
+            buckets = self._cells
+            keys = [(cx, cy, cz) for cx in xs for cy in ys for cz in zs]
+        else:
+            buckets = self._transmitter_cells
+            keys = [(i, cx, cy, cz) for i in transmitter_indices
+                    for cx in xs for cy in ys for cz in zs]
         found: list[tuple[float, int]] = []
-        for cx in range(lo[0], hi[0] + 1):
-            for cy in range(lo[1], hi[1] + 1):
-                for cz in range(lo[2], hi[2] + 1):
-                    for pid, (x, y, z) in self._cells.get((cx, cy, cz), ()):
-                        d = math.sqrt((x - c0) ** 2 + (y - c1) ** 2 + (z - c2) ** 2)
-                        if d <= r:
-                            found.append((d, pid))
+        for key in keys:
+            for pid, (x, y, z) in buckets.get(key, ()):
+                d = math.sqrt((x - c0) ** 2 + (y - c1) ** 2 + (z - c2) ** 2)
+                if d <= r:
+                    found.append((d, pid))
         found.sort()
         return [self.payloads[pid] for _, pid in found]
 

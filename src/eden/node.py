@@ -185,17 +185,18 @@ class ProcessNode:
                        ) -> tuple[list[tuple[int, int, float]], list[int]]:
         """Gather accepted transmitter payloads into entry-plane deposits.
 
+        Each dendrite queries the grid for the transmitters of the indices it
+        accepts, so payloads of another kind or index never reach it.
         ``claimed`` is shared across nodes within the phase so no payload is
-        consumed twice. Mismatched indices block the payload for this dendrite.
+        consumed twice.
         """
         deposits: list[tuple[int, int, float]] = []
         consumed: list[int] = []
         for ordinal, dendrite in enumerate(self.dendrites):
             x, y = self.entry_cell(ordinal)
-            for pl in grid.query_radius(dendrite.position, dendrite.pickup_radius):
-                if pl.kind != TRANSMITTER or pl.pid in claimed:
-                    continue
-                if pl.index not in dendrite.accepted_transmitter_indices:
+            for pl in grid.query_radius(dendrite.position, dendrite.pickup_radius,
+                                        dendrite.accepted_transmitter_indices):
+                if pl.pid in claimed:
                     continue
                 sign = 1.0 if float(pl.properties.get("excitatory", 1)) >= 0 else -1.0
                 mag = pl.magnitude * dendrite.gain * sign

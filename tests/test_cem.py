@@ -153,6 +153,15 @@ class TestConstruction:
         with pytest.raises(StructureError):
             PwrTensor(2, 3, **lattices)
 
+    @pytest.mark.parametrize("value", [-1, 0.5, 9, 12, 300, float("nan")])
+    @pytest.mark.parametrize("container", [list, np.array])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+    def test_router_is_refused(self, value, container):
+        r = np.zeros((2, 2, 3)).tolist()
+        r[1][0][2] = value
+        with pytest.raises(StructureError):
+            PwrTensor(2, 3, r=container(r))
+
 
 class TestAccumulatePlaneEnergy:
     """PE_z = at_mod * PE_{z-1} + plane_sum(plane z), with PE_{-1} = 0."""

@@ -140,6 +140,14 @@ def with_energy_cell(cem):
     return cem
 
 
+def with_routers(value):
+    """A damage that sets every router of a saved CEM to ``value``."""
+    def damage(cem):
+        cem["r"] = [[[value] * len(column) for column in row] for row in cem["r"]]
+        return cem
+    return damage
+
+
 class TestTrainRejectsBadInputBeforeEpochZero:
     """Input that would fail mid-run exits 4 before any epoch, touching nothing."""
 
@@ -187,8 +195,13 @@ class TestTrainRejectsBadInputBeforeEpochZero:
         ("goal", lambda v: {"z_index": -1, "target_p": [[0.0] * 3] * 3}),
         ("goal", lambda v: {"z_index": 0, "target_p": [[0.0] * 2] * 2}),
         ("cem", with_energy_cell),  # a saved lattice is cleared
+        ("cem", with_routers(-1)),  # would act as option 8
+        ("cem", with_routers(0.5)),  # would truncate to option 0
+        ("cem", with_routers(12)),  # would fail at the first route
+        ("cem", with_routers(300)),  # outside int8
     ], ids=["curr-2-bins", "prev-5-bins", "prev-negative-count", "10-dendrites",
-            "goal-z-4", "goal-z-minus-1", "goal-2x2", "energy-cell-0.5"])
+            "goal-z-4", "goal-z-minus-1", "goal-2x2", "energy-cell-0.5",
+            "routers-minus-1", "routers-0.5", "routers-12", "routers-300"])
     def test_malformed_node_in_the_state(self, tmp_path, state_path, key, damage):
         pattern = write_pattern(tmp_path, state_path)  # stimulates node 0
         doc = json.load(open(state_path))

@@ -30,6 +30,12 @@ def reference_query_radius(grid, center, r):
     return [pid for _, pid in found]
 
 
+def reference_filtered_query(grid, center, r, indices):
+    """The unfiltered reference, keeping the transmitters of ``indices``."""
+    return [pid for pid in reference_query_radius(grid, center, r)
+            if grid.payloads[pid].kind == TRANSMITTER and grid.payloads[pid].index in indices]
+
+
 def reference_density_gradient(grid, pos, index, sigma=1.0):
     grad = [0.0, 0.0, 0.0]
     inv_s2 = 1.0 / (sigma * sigma)
@@ -220,20 +226,21 @@ class TestPersistence:
 coords = st.tuples(*[st.floats(0.0, 10.0, allow_nan=False)] * 3)
 grid_ops = st.lists(st.one_of(
     st.tuples(st.just("deposit"), st.lists(st.tuples(
-        coords, st.integers(0, 2), st.floats(0.01, 3.0), st.integers(0, 4)),
-        min_size=1, max_size=8)),
+        st.sampled_from([TRANSMITTER, ARCHITECTOR]), coords, st.integers(0, 2),
+        st.floats(0.01, 3.0), st.integers(0, 4)), min_size=1, max_size=8)),
     st.tuples(st.just("remove"), st.integers(0, 100)),
     st.tuples(st.just("commit")),
     st.tuples(st.just("decay"), st.floats(0.05, 1.0)),
+    # indices 3 and 4 are never deposited
     st.tuples(st.just("query"), st.tuples(*[st.floats(-2.0, 12.0, allow_nan=False)] * 3),
-              st.floats(0.0, 6.0)),
+              st.floats(0.0, 6.0), st.sets(st.integers(0, 4))),
     st.tuples(st.just("repeat"), st.integers(0, 20)),
     st.tuples(st.just("gradient"), coords, st.integers(0, 2), st.floats(0.3, 3.0)),
 ), min_size=5, max_size=40)
 
 
 class TestAgainstReference:
-    """Random grid histories; every query equals the reference exactly."""
+    """Random grid histories of both kinds; every query equals the reference exactly."""
 
     @settings(max_examples=200, deadline=None)
     @given(cell_size=st.sampled_from([0.5, 1.0, 2.0, 5.0]), ops=grid_ops)
@@ -241,14 +248,16 @@ class TestAgainstReference:
         g = make_grid(cell_size)
         queries = []
 
-        def check_query(center, r):
+        def check_query(center, r, indices):
             assert ([pl.pid for pl in g.query_radius(center, r)]
                     == reference_query_radius(g, center, r))
+            assert ([pl.pid for pl in g.query_radius(center, r, indices)]
+                    == reference_filtered_query(g, center, r, indices))
 
         for op in ops:
             if op[0] == "deposit":
-                for pos, index, mag, ttl in op[1]:
-                    g.deposit(g.new_payload(TRANSMITTER, index, pos, mag, ttl))
+                for kind, pos, index, mag, ttl in op[1]:
+                    g.deposit(g.new_payload(kind, index, pos, mag, ttl))
             elif op[0] == "remove":
                 g.remove(op[1])
             elif op[0] == "commit":
@@ -265,7 +274,7 @@ class TestAgainstReference:
             elif queries:  # repeat an earlier query, possibly across commits
                 check_query(*queries[op[1] % len(queries)])
 
-    def test_query_sees_commit_after_memoized_result(self):
+    def test_query_sees_the_next_commit(self):
         g = make_grid()
         g.deposit(g.new_payload(TRANSMITTER, 0, (5, 5, 5), 1.0, 3))
         g.commit()

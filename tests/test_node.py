@@ -33,6 +33,25 @@ def make_grid():
     return NeuralGrid((0, 0, 0), (10, 10, 10), cell_size=2.0)
 
 
+def reference_collect_inputs(node, grid, claimed):
+    """The query-then-filter loop that the per-index grid query replaced: each
+    dendrite reads every payload in range and skips the wrong kind, the wrong
+    index and the already claimed."""
+    deposits, consumed = [], []
+    for ordinal, dendrite in enumerate(node.dendrites):
+        x, y = node.entry_cell(ordinal)
+        for pl in grid.query_radius(dendrite.position, dendrite.pickup_radius):
+            if pl.kind != TRANSMITTER or pl.pid in claimed:
+                continue
+            if pl.index not in dendrite.accepted_transmitter_indices:
+                continue
+            sign = 1.0 if float(pl.properties.get("excitatory", 1)) >= 0 else -1.0
+            deposits.append((x, y, pl.magnitude * dendrite.gain * sign))
+            claimed.add(pl.pid)
+            consumed.append(pl.pid)
+    return deposits, consumed
+
+
 class TestStabilityIndex:
     def test_identical_is_exactly_one(self):
         a = [0, 0, 2, 0, 0, 1]
@@ -144,6 +163,55 @@ class TestCollectInputs:
         node = self._node_with_dendrite({3})
         deposits, consumed = node.collect_inputs(grid, set())
         assert deposits == [] and consumed == []
+
+
+coords = st.tuples(*[st.floats(0.0, 10.0, allow_nan=False)] * 3)
+# (kind, index, position, magnitude, excitatory); no payload carries index 5
+payload_specs = st.lists(st.tuples(
+    st.sampled_from([TRANSMITTER, ARCHITECTOR]), st.integers(0, 4), coords,
+    st.floats(0.01, 3.0), st.sampled_from([1, -1])), max_size=40)
+# (position, pickup radius, accepted indices, gain); 1 to 9 dendrites per node
+node_specs = st.lists(st.lists(st.tuples(
+    coords, st.floats(0.1, 4.0), st.sets(st.integers(0, 5), min_size=1, max_size=3),
+    st.floats(0.1, 2.0)), min_size=1, max_size=9), min_size=1, max_size=3)
+
+
+class TestCollectInputsAgainstReference:
+    """Nodes collect in turn from one grid, sharing ``claimed``; each matches the
+    query-then-filter reference exactly."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(cell_size=st.sampled_from([0.5, 1.0, 2.0, 5.0]), payloads=payload_specs,
+           nodes=node_specs)
+    def test_random_grids_and_dendrites(self, cell_size, payloads, nodes):
+        grid = NeuralGrid((0, 0, 0), (10, 10, 10), cell_size=cell_size)
+        for kind, index, pos, mag, excitatory in payloads:
+            grid.deposit(grid.new_payload(kind, index, pos, mag, 3,
+                                          properties={"excitatory": excitatory}))
+        grid.commit()
+        claimed, expected_claimed = set(), set()
+        for node_id, dendrites in enumerate(nodes):
+            node = make_node(node_id)
+            node.dendrites = [Dendrite(position=pos, pickup_radius=radius,
+                                       accepted_transmitter_indices=accepted, gain=gain)
+                              for pos, radius, accepted, gain in dendrites]
+            expected = reference_collect_inputs(node, grid, expected_claimed)
+            assert node.collect_inputs(grid, claimed) == expected
+            assert claimed == expected_claimed
+
+    def test_several_indices_and_an_earlier_claim(self):
+        grid = make_grid()
+        for index, x in ((1, 5.0), (2, 5.5), (3, 4.5), (2, 5.25)):
+            grid.deposit(grid.new_payload(TRANSMITTER, index, (x, 5, 5), 1.0, 3))
+        grid.commit()
+        claimed = {3}  # the second index-2 payload, taken by an earlier node
+        node = make_node()
+        node.dendrites.append(Dendrite(position=(5, 5, 5), pickup_radius=1.0,
+                                       accepted_transmitter_indices={1, 2}))
+        deposits, consumed = node.collect_inputs(grid, claimed)
+        assert consumed == [0, 1]  # by distance; pid 2 has index 3
+        assert claimed == {0, 1, 3}
+        assert deposits == [(0, 0, 1.0), (0, 0, 1.0)]
 
 
 class TestStep:
