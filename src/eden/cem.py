@@ -1,8 +1,8 @@
 """Currently Expressed Model: the PWR lattices and their propagation machinery.
 
-A process node's computational core is three X*Y*Z lattices (X == Y):
-propagation energy, weights in [0,1], and per-cell router options. Energy
-deposited on the entry plane climbs plane by plane; each energized cell
+A process node's computational core is two X*Y*Z lattices (X == Y), weights
+in [0,1] and per-cell router options, plus the energy of its one current pass.
+Energy deposited on the entry plane climbs plane by plane; each energized cell
 forwards a sigmoid-transferred share to exactly one cell of the next plane,
 chosen by its router. A plane whose accumulated energy reaches the minimum
 threshold spikes.
@@ -15,25 +15,27 @@ looked up in ``router_targets`` (edge-clamped, cached per lattice size); each
 target's transfers are summed in row-major cell order from 0.0. The plane
 energy is ``plane_sum``, an exact copy of numpy's float64 pairwise sum of the
 plane, which the trajectories depend on; absent cells count as +0.0, so it
-runs over the energized cells only. Each visited plane is written into ``p``
-once, so after a pass ``p`` and ``plane_energy_acc`` hold what a dense pass
-leaves, and the goal plane, backprop and the stale-router sweep read them.
+runs over the energized cells only.
 
-A pass starts from a cleared lattice: every value of ``p`` and
-``plane_energy_acc`` is +0.0 (not -0.0). The engine runs one pass per node
-per epoch and clears the energy after a spike or at epoch end, and a tensor
-is built cleared, so ``forward_propagate`` raises ``StructureError`` rather
-than drop energy an earlier pass left.
+A pass keeps its energy only in its record, ``last_trace``, valid until
+``reset_propagation`` drops it: per plane, the energized cells with their
+energy and the next-plane cell each one sent to. Every reader goes through the
+tensor: ``plane`` gives one plane as an X*Y array (the goal plane, backprop),
+``energy`` the whole lattice's sum as numpy would add it (``EnergyRequirement``
+in ``eden.functome``), and the router rewire and the stale-router sweep walk
+the record. The fields ``p`` and ``plane_energy_acc`` are placeholders that
+save-state format 1 writes: always +0.0, refused at load otherwise, and read
+by nothing else.
 
-Each pass is recorded once in ``last_trace``, valid until ``reset_propagation``:
-per plane, the energized cells and the next-plane cell each one sent to.
-Backprop reads energy and weights from the lattices in place; a plane is never
-written after it sends, and weights change only after every gradient is known.
+A pass starts from no energy. The engine runs one pass per node per epoch and
+drops the record after a spike or at epoch end, so ``forward_propagate``
+raises ``StructureError`` rather than drop energy an earlier pass left. A
+pass that left no energized cell counts as cleared. Backprop reads energy from
+the record; weights change only after every gradient is known.
 
-Numpy reductions on the trajectory path: none in this module. Plane sums are
+Numpy reductions on the trajectory path: none. Plane and lattice sums are
 ``plane_sum`` and backprop adds per cell; the loss ``backprop_to_goal``
-returns is a numpy sum, but nothing on the trajectory reads it. The one left
-is ``EnergyRequirement``'s ``p.sum()`` in ``eden.functome``.
+returns is a numpy sum, but nothing on the trajectory reads it.
 """
 from __future__ import annotations
 
@@ -58,8 +60,8 @@ class DepositError(ValueError):
 
 
 class StructureError(ValueError):
-    """Mismatched lattice dimensions, a router value that is no option, or energy
-    where a cleared lattice is due."""
+    """Mismatched lattice dimensions, a weight outside [0, 1], a router value that
+    is no option, or energy where a cleared pass is due."""
 
 
 @dataclass
@@ -83,15 +85,16 @@ class GoalPlane:
 
 @dataclass
 class PropagationTrace:
-    """Routed-predecessor record of a single forward pass.
+    """Record of a single forward pass, the only place its energy is kept.
 
-    ``energized[z]`` lists the cells of plane z holding energy, in row-major
-    order; ``hops_by_plane[z][i]`` is the plane z+1 cell that
+    ``energized[z]`` lists the ``(k, energy)`` pairs of the cells of plane z
+    holding energy, by increasing flat index ``k = x*n + y``;
+    ``hops_by_plane[z][i]`` is the flat index of the plane z+1 cell that
     ``energized[z][i]`` sent to. The spiking plane and the last plane send nothing.
     """
 
-    hops_by_plane: list[list[tuple[int, int]]] = field(default_factory=list)
-    energized: list[list[tuple[int, int]]] = field(default_factory=list)
+    hops_by_plane: list[list[int]] = field(default_factory=list)
+    energized: list[list[tuple[int, float]]] = field(default_factory=list)
     spike_z: Optional[int] = None
 
 
@@ -106,14 +109,9 @@ def router_targets(n: int) -> tuple[tuple[int, ...], ...]:
         for dx, dy in ROUTER_OPTIONS)
 
 
-@functools.cache
-def cell_coords(n: int) -> tuple[tuple[int, int], ...]:
-    """``cell_coords(n)[k]``: the (x, y) cell of flat index ``k = x*n + y``."""
-    return tuple((x, y) for x in range(n) for y in range(n))
-
-
 def plane_sum(cells: list[tuple[int, float]], size: int, lo: int = 0) -> float:
-    """Numpy's float64 pairwise sum of a plane of ``size`` cells, bit for bit.
+    """Numpy's float64 pairwise sum of a contiguous block of ``size`` cells (a
+    plane, or a whole lattice), bit for bit.
 
     ``cells`` holds the (flat index, value) pairs of the cells that may be
     nonzero, in increasing index order; every other cell is +0.0, and adding
@@ -157,7 +155,11 @@ def transfer(p_val: float, w_val: float, dr: float) -> float:
 
 @dataclass(eq=False)
 class PwrTensor:
-    """Propagation, Weight and Router lattices plus the per-plane energy accumulator."""
+    """Weight and router lattices plus the record of the current pass.
+
+    ``p`` and ``plane_energy_acc`` are the all-+0.0 energy fields save-state
+    format 1 writes; nothing else reads them.
+    """
 
     dim_xy: int
     dim_z: int
@@ -194,22 +196,22 @@ class PwrTensor:
             # read as uint8, a negative router is >= 128, so one max checks [0, 9)
             if not same or self.r.view(np.uint8).max(initial=0) >= len(ROUTER_OPTIONS):
                 raise StructureError(bad_routers)
-        for name, arr in (("p", self.p), ("w", self.w), ("r", self.r)):
-            if arr.shape != shape:
-                raise StructureError(f"{name} lattice shape {arr.shape} != {shape}")
         self.plane_energy_acc = (np.zeros(dim_z) if self.plane_energy_acc is None
                                  else np.ascontiguousarray(self.plane_energy_acc,
                                                            dtype=np.float64))
-        if self.plane_energy_acc.shape != (dim_z,):
-            raise StructureError(
-                f"plane_energy_acc shape {self.plane_energy_acc.shape} != ({dim_z},)")
-        if not self.cleared():
-            raise StructureError("energy lattice and plane energies must be +0.0 "
-                                 "between passes")
+        for name, arr, want in (("p", self.p, shape), ("w", self.w, shape), ("r", self.r, shape),
+                                ("plane_energy_acc", self.plane_energy_acc, (dim_z,))):
+            if arr.shape != want:
+                raise StructureError(f"{name} shape {arr.shape} != {want}")
+        if not ((self.w >= 0.0) & (self.w <= 1.0)).all():  # NaN fails both
+            raise StructureError("weights must lie in [0, 1]")
+        # a state is saved between passes, so its energy is +0.0; -0.0 is refused too
+        if self.p.view(np.uint64).any() or self.plane_energy_acc.view(np.uint64).any():
+            raise StructureError("energy and plane energies must be +0.0 between passes")
 
     @classmethod
     def random(cls, dim_xy: int, dim_z: int, rng) -> "PwrTensor":
-        """Fresh tensor: zero energy, uniform random weights and routers, drawn
+        """Fresh tensor: no energy, uniform random weights and routers, drawn
         per cell (weight, then router) in x, y, z order."""
         ws, rs = [], []
         for _ in range(dim_xy * dim_xy * dim_z):
@@ -218,11 +220,6 @@ class PwrTensor:
         shape = (dim_xy, dim_xy, dim_z)
         return cls(dim_xy, dim_z, w=np.array(ws).reshape(shape),
                    r=np.array(rs, dtype=np.int8).reshape(shape))
-
-    def cleared(self) -> bool:
-        """Whether every energy and plane energy value is +0.0 (-0.0 is not)."""
-        return not (self.p.view(np.uint64).any()
-                    or self.plane_energy_acc.view(np.uint64).any())
 
     # -- forward path ------------------------------------------------------
 
@@ -236,13 +233,12 @@ class PwrTensor:
         cell their router selects; lateral offsets clamp at the lattice edge.
         Residual energy is retained when no plane spikes. The pass is recorded
         in ``last_trace`` for router reinforcement and backprop. It starts
-        from a cleared lattice: after a pass, ``reset_propagation`` comes
-        before the next one.
+        from no energy: after a pass that left some, ``reset_propagation``
+        comes before the next one.
         """
         n, dim_z = self.dim_xy, self.dim_z
-        if not self.cleared():
-            raise StructureError("energy lattice holds an earlier pass; "
-                                 "reset_propagation before the next one")
+        if self.last_trace is not None and any(self.last_trace.energized):
+            raise StructureError("an earlier pass holds energy; reset_propagation first")
         plane: dict[int, float] = {}
         for x, y, mag in deposits:
             if not (0 <= x < n and 0 <= y < n):
@@ -252,31 +248,47 @@ class PwrTensor:
 
         trace = PropagationTrace()
         self.last_trace = trace
-        targets, coords, size = router_targets(n), cell_coords(n), n * n
-        p = self.p.data.cast("B").cast("d")
+        targets, size = router_targets(n), n * n
         w = self.w.data.cast("B").cast("d")
         r = self.r.data.cast("B").cast("b")
-        acc = self.plane_energy_acc.data
         pe = 0.0
         for z in range(dim_z):
-            # values are >= +0.0; a zero stays the cleared lattice's +0.0
+            # values are >= +0.0; a cell left at zero holds no energy
             cells = sorted((k, v) for k, v in plane.items() if v > 0.0)
-            for k, v in cells:
-                p[k * dim_z + z] = v
+            trace.energized.append(cells)
             pe = at_mod * pe + plane_sum(cells, size)
-            acc[z] = pe
-            trace.energized.append([coords[k] for k, _ in cells])
             if pe >= min_e:
                 trace.spike_z = z
                 return SpikeEvent(z_index=z, plane_energy=pe)
             if z + 1 >= dim_z:
                 break
             hops = [targets[r[k * dim_z + z]][k] for k, _ in cells]
-            trace.hops_by_plane.append([coords[t] for t in hops])
+            trace.hops_by_plane.append(hops)
             plane = {}
             for (k, v), t in zip(cells, hops):
                 plane[t] = plane.get(t, 0.0) + transfer(v, w[k * dim_z + z], dr)
         return None
+
+    def plane(self, z: int) -> np.ndarray:
+        """Plane z's energy in the recorded pass as an X*Y array, +0.0 where
+        it holds none."""
+        n, trace = self.dim_xy, self.last_trace
+        out = np.zeros(n * n)
+        if trace is not None and z < len(trace.energized):
+            for k, v in trace.energized[z]:
+                out[k] = v
+        return out.reshape(n, n)
+
+    def _lattice_cells(self) -> list[tuple[int, float]]:
+        """The recorded pass's (lattice index ``k*dim_z + z``, energy) pairs,
+        in the C order of an X*Y*Z lattice."""
+        planes = self.last_trace.energized if self.last_trace else []
+        return sorted((k * self.dim_z + z, v) for z, cells in enumerate(planes) for k, v in cells)
+
+    def energy(self) -> float:
+        """The recorded pass's total energy, bit for bit numpy's float64 sum of
+        the X*Y*Z lattice that would hold it."""
+        return plane_sum(self._lattice_cells(), self.dim_xy * self.dim_xy * self.dim_z)
 
     # -- router dynamics ---------------------------------------------------
 
@@ -285,24 +297,23 @@ class PwrTensor:
         trace = self.last_trace
         if trace is None or trace.spike_z != spike.z_index:
             raise StructureError("spike does not match the last recorded forward pass")
-        n, dim_z = self.dim_xy, self.dim_z
+        dim_z = self.dim_z
         r = self.r.data.cast("B").cast("b")
         for z in range(spike.z_index):
-            for x, y in trace.energized[z]:
-                r[(x * n + y) * dim_z + z] = CENTER
+            for k, _ in trace.energized[z]:
+                r[k * dim_z + z] = CENTER
 
     def randomize_stale_routers(self, rng) -> int:
-        """Give every still-energized cell a random router; epoch-end, no spike."""
-        count = 0
-        for x, y, z in np.argwhere(self.p > 0.0):
-            self.r[x, y, z] = rng.randrange(len(ROUTER_OPTIONS))
-            count += 1
-        return count
+        """Give every still-energized cell a random router, drawn in lattice
+        order; epoch-end, no spike."""
+        stale = self._lattice_cells()
+        r = self.r.data.cast("B").cast("b")
+        for i, _ in stale:
+            r[i] = rng.randrange(len(ROUTER_OPTIONS))
+        return len(stale)
 
     def reset_propagation(self) -> None:
-        """Clear the energy; the recorded pass no longer matches it and is dropped."""
-        self.p.fill(0.0)
-        self.plane_energy_acc.fill(0.0)
+        """Drop the recorded pass, and with it the pass's energy."""
         self.last_trace = None
 
     # -- backprop ----------------------------------------------------------
@@ -315,29 +326,30 @@ class PwrTensor:
         only along each cell's routed-predecessor chain recorded in
         ``last_trace``, through the sigmoid derivative.
         """
-        if goal.target_p.shape != (self.dim_xy, self.dim_xy):
-            raise StructureError(
-                f"goal plane shape {goal.target_p.shape} != ({self.dim_xy}, {self.dim_xy})")
+        n, dim_z = self.dim_xy, self.dim_z
+        if goal.target_p.shape != (n, n):
+            raise StructureError(f"goal plane shape {goal.target_p.shape} != ({n}, {n})")
         zs, trace = goal.z_index, self.last_trace
-        if trace is None or not (0 <= zs < self.dim_z) or zs > len(trace.hops_by_plane):
+        if trace is None or not (0 <= zs < dim_z) or zs > len(trace.hops_by_plane):
             raise StructureError(f"goal plane {zs} not covered by a recorded pass")
-        diff = self.p[:, :, zs] - goal.target_p
+        diff = self.plane(zs) - goal.target_p
         loss = 0.5 * float((diff * diff).sum())
-        grad_p = diff.copy()  # d loss / d p at the current plane
+        grad_p = diff.ravel()  # d loss / d p at the current plane, by flat index
         grad_w: dict[tuple[int, int, int], float] = {}
+        w = self.w.data.cast("B").cast("d")
         for z in range(zs - 1, -1, -1):
             grad_prev = np.zeros_like(grad_p)
-            for (x, y), dst in zip(trace.energized[z], trace.hops_by_plane[z]):
+            for (k, pv), dst in zip(trace.energized[z], trace.hops_by_plane[z]):
                 g = grad_p[dst]
                 if g == 0.0:
                     continue
-                pv, wv = float(self.p[x, y, z]), float(self.w[x, y, z])
+                wv = w[k * dim_z + z]
                 s = 1.0 / (1.0 + math.exp(-(pv * wv)))
                 if s - dr <= 0.0:  # clamped transfer carries no gradient
                     continue
                 ds = s * (1.0 - s)
-                grad_w[x, y, z] = grad_w.get((x, y, z), 0.0) + g * ds * pv
-                grad_prev[x, y] += g * ds * wv
+                grad_w[(*divmod(k, n), z)] = g * ds * pv
+                grad_prev[k] += g * ds * wv
             grad_p = grad_prev
         return loss, grad_w
 

@@ -4,10 +4,10 @@ Action and prerequisite vocabularies are closed; serialized genes carry the
 exact canonical strings (including the historical spelling "Dentrite_*") and
 anything else is a load error.
 
-``EnergyRequirement`` compares ``float(node.cem.p.sum())``, numpy's float64
-pairwise sum of the whole energy lattice, with its threshold. It is the one
-numpy reduction left on the epoch path (``eden.cem`` lists none of its own);
-``tests/test_reference.py`` replays the benchmark workloads with numpy's
+``EnergyRequirement`` compares ``node.cem.energy()``, the recorded pass's
+energy added as numpy's float64 pairwise sum of the whole lattice would add
+it, with its threshold. No numpy reduction is left on the epoch path;
+``tests/test_reference.py`` still replays the benchmark workloads with numpy's
 AVX-512 kernels off to show the trajectories do not depend on them.
 """
 from __future__ import annotations
@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 from .codec import decode, encode
+from .grid import ARCHITECTOR, TRANSMITTER
 
 log = logging.getLogger(__name__)
 
@@ -173,8 +174,8 @@ def check_prerequisite(gene: ActionGene, node, nearby: list, entity_clock: int) 
     if pre == "AllowOn_ClockFrequency":
         return p["min_spikes"] <= node.spike_count_epoch <= p["max_spikes"]
     if pre == "EnergyRequirement":
-        return float(node.cem.p.sum()) >= p["min_energy"]
-    kind = "architector" if pre.startswith("Architector") else "transmitter"
+        return node.cem.energy() >= p["min_energy"]
+    kind = ARCHITECTOR if pre.startswith("Architector") else TRANSMITTER
     present = sum(1 for pl in nearby if pl.kind == kind and pl.index == p["index"])
     if pre.endswith("PayloadCount"):
         return present >= p["min_count"]

@@ -230,7 +230,7 @@ class ProcessNode:
         """Create the goal on first spike; replace it only while unstable."""
         if self.goal is None or self.stability_index < refresh_threshold:
             self.goal = GoalPlane(z_index=spike.z_index,
-                                  target_p=self.cem.p[:, :, spike.z_index].copy())
+                                  target_p=self.cem.plane(spike.z_index))
 
     def emit_payloads(self, spike: SpikeEvent, grid: NeuralGrid,
                       architector_sigma: float, ttl: int) -> list[TransArchPayload]:

@@ -40,11 +40,19 @@ def sigmoid_oracle(v):
 
 
 def trained_copy(tensor):
-    """Deep copy with propagation state cleared, for probing learned structure."""
+    """Deep copy without the recorded pass, for probing learned structure."""
     t = decode(PwrTensor, encode(tensor))
-    t.p.fill(0.0)
-    t.plane_energy_acc.fill(0.0)
+    assert t.last_trace is None
     return t
+
+
+def energy_plane(tensor, z):
+    """Plane z of the energy lattice, rebuilt from the recorded pass."""
+    n = tensor.dim_xy
+    plane = np.zeros((n, n))
+    for k, v in tensor.last_trace.energized[z]:
+        plane[k // n, k % n] = v
+    return plane
 
 
 def density(grid, pos, index, sigma=1.0):
@@ -88,7 +96,7 @@ def test_criterion_02_backprop_finite_differences(capsys):
         t = trained_copy(tensor)
         t.w[key] = w_val
         t.forward_propagate(deposits, min_e=1e18, dr=dr)
-        diff = t.p[:, :, zs] - target
+        diff = energy_plane(t, zs) - target
         return 0.5 * float((diff * diff).sum())
 
     with verdict(capsys, 2, "goal gradients match finite differences"):

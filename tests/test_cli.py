@@ -140,6 +140,14 @@ def with_energy_cell(cem):
     return cem
 
 
+def with_weights(value):
+    """A damage that sets every weight of a saved CEM to ``value``."""
+    def damage(cem):
+        cem["w"] = [[[value] * len(column) for column in row] for row in cem["w"]]
+        return cem
+    return damage
+
+
 def with_routers(value):
     """A damage that sets every router of a saved CEM to ``value``."""
     def damage(cem):
@@ -195,20 +203,26 @@ class TestTrainRejectsBadInputBeforeEpochZero:
         ("goal", lambda v: {"z_index": -1, "target_p": [[0.0] * 3] * 3}),
         ("goal", lambda v: {"z_index": 0, "target_p": [[0.0] * 2] * 2}),
         ("cem", with_energy_cell),  # a saved lattice is cleared
+        ("cem", with_weights(float("nan"))),  # json writes the NaN token
+        ("cem", with_weights(5.0)),  # weights lie in [0, 1]
+        ("cem", with_weights(-2.0)),
         ("cem", with_routers(-1)),  # would act as option 8
         ("cem", with_routers(0.5)),  # would truncate to option 0
         ("cem", with_routers(12)),  # would fail at the first route
         ("cem", with_routers(300)),  # outside int8
     ], ids=["curr-2-bins", "prev-5-bins", "prev-negative-count", "10-dendrites",
             "goal-z-4", "goal-z-minus-1", "goal-2x2", "energy-cell-0.5",
+            "weights-nan", "weights-5.0", "weights-minus-2.0",
             "routers-minus-1", "routers-0.5", "routers-12", "routers-300"])
-    def test_malformed_node_in_the_state(self, tmp_path, state_path, key, damage):
+    def test_malformed_node_in_the_state(self, request, tmp_path, state_path, key, damage):
         pattern = write_pattern(tmp_path, state_path)  # stimulates node 0
         doc = json.load(open(state_path))
         node = doc["entity"]["nodes"][0]
         node[key] = damage(node[key])
         with open(state_path, "w") as fh:
             json.dump(doc, fh)
+        if request.node.callspec.id == "weights-nan":
+            assert "NaN" in open(state_path).read()  # the JSON token Python reads back
         self._train(tmp_path, state_path, "--pattern", pattern)
 
 

@@ -1,5 +1,6 @@
 """Tests for the genetic layer: genes, prerequisites, mutation, hashes, actions."""
 import logging
+import math
 import random
 
 import pytest
@@ -81,10 +82,19 @@ class TestPrerequisites:
     def test_energy_requirement_reads_residual(self):
         entity, node = fresh_node()
         gene = self._gene("EnergyRequirement", min_energy=1.0)
-        node.cem.p.fill(0.0)
+        assert node.cem.last_trace is None
         assert not check_prerequisite(gene, node, nearby(entity.grid, node), 0)
-        node.cem.p[0, 0, 0] = 1.5
+        assert node.cem.forward_propagate([(0, 0, 0.2)], 1e18, 0.0) is None
+        residual = node.cem.energy()
+        assert residual > 1.0  # the deposit plus every plane's transfer
         assert check_prerequisite(gene, node, nearby(entity.grid, node), 0)
+        gene.params["min_energy"] = residual
+        assert check_prerequisite(gene, node, nearby(entity.grid, node), 0)
+        gene.params["min_energy"] = math.nextafter(residual, math.inf)
+        assert not check_prerequisite(gene, node, nearby(entity.grid, node), 0)
+        node.cem.reset_propagation()
+        gene.params["min_energy"] = 1.0
+        assert not check_prerequisite(gene, node, nearby(entity.grid, node), 0)
 
     def test_transmitter_presence_and_count(self):
         entity, node = fresh_node()

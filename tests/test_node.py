@@ -225,7 +225,7 @@ class TestStep:
         assert node.goal is not None and node.goal.z_index == spike.z_index
         assert node.spike_count_epoch == 1
         # propagation state cleared after the spike
-        assert float(node.cem.p.sum()) == 0.0
+        assert node.cem.last_trace is None and node.cem.energy() == 0.0
 
     def test_no_spike_keeps_goal_empty(self):
         node = make_node(min_e=100.0)
@@ -310,9 +310,9 @@ class TestEpochLifecycle:
     def test_residual_cleared_even_without_spike(self):
         node = make_node(min_e=100.0)
         node.step([(0, 0, 1.0)], 0, 0.05, 0.5)
-        assert float(node.cem.p.sum()) > 0.0
+        assert node.cem.energy() > 0.0
         node.end_epoch_housekeeping(random.Random(0))
-        assert float(node.cem.p.sum()) == 0.0
+        assert node.cem.last_trace is None and node.cem.energy() == 0.0
 
     def test_finalize_rotates_distributions(self):
         node = make_node(dim_z=4)

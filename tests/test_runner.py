@@ -259,7 +259,7 @@ class TestRunEpoch:
         entity = seed_entity(small_config(min_e=1e6))
         stimulus_probe(entity)
         run_epoch(entity)
-        assert all(float(n.cem.p.sum()) == 0.0 for n in entity.nodes.values())
+        assert all(n.cem.last_trace is None for n in entity.nodes.values())
 
 
 GOOD_ITEM = {"offset": [0, 0, 0], "index": 0, "magnitude": 1.0}
