@@ -11,11 +11,13 @@ A plane holds a few energized cells, so the pass is sparse and makes no numpy
 call per plane. Each plane's energy is a dict from the row-major flat index
 ``x*n + y`` to its value. Weights and routers are read per cell through flat
 ``memoryview``s of the C-contiguous lattices, made on each pass; each route is
-looked up in ``router_targets`` (edge-clamped, cached per lattice size); each
-target's transfers are summed in row-major cell order from 0.0. The plane
-energy is ``plane_sum``, an exact copy of numpy's float64 pairwise sum of the
-plane, which the trajectories depend on; absent cells count as +0.0, so it
-runs over the energized cells only.
+looked up in ``router_targets`` (edge-clamped, cached per lattice size). Each
+share is ``transfer``'s closed form computed inline, and each target's shares
+are summed in row-major cell order from 0.0. A share that clamps to zero is
+not added: +0.0 changes no sum, and a target that gets only such shares holds
+no energy. The plane energy is ``plane_sum``, an exact copy of numpy's float64
+pairwise sum of the plane, which the trajectories depend on; absent cells
+count as +0.0, so it runs over the energized cells only.
 
 A pass keeps its energy only in its record, ``last_trace``, valid until
 ``reset_propagation`` drops it: per plane, the energized cells with their
@@ -231,6 +233,8 @@ class PwrTensor:
         Deposits land on the entry plane (z=0). Cells that do not trigger a
         spike each forward their transferred energy to the single next-plane
         cell their router selects; lateral offsets clamp at the lattice edge.
+        Each share is ``transfer(v, w, dr)`` computed inline; a share that
+        clamps to zero still records its hop but adds nothing to its target.
         Residual energy is retained when no plane spikes. The pass is recorded
         in ``last_trace`` for router reinforcement and backprop. It starts
         from no energy: after a pass that left some, ``reset_propagation``
@@ -251,10 +255,11 @@ class PwrTensor:
         targets, size = router_targets(n), n * n
         w = self.w.data.cast("B").cast("d")
         r = self.r.data.cast("B").cast("b")
+        exp = math.exp
         pe = 0.0
+        # deposits are >= +0.0; a cell left at zero holds no energy
+        cells = sorted((k, v) for k, v in plane.items() if v > 0.0)
         for z in range(dim_z):
-            # values are >= +0.0; a cell left at zero holds no energy
-            cells = sorted((k, v) for k, v in plane.items() if v > 0.0)
             trace.energized.append(cells)
             pe = at_mod * pe + plane_sum(cells, size)
             if pe >= min_e:
@@ -262,11 +267,20 @@ class PwrTensor:
                 return SpikeEvent(z_index=z, plane_energy=pe)
             if z + 1 >= dim_z:
                 break
-            hops = [targets[r[k * dim_z + z]][k] for k, _ in cells]
+            hops: list[int] = []
             trace.hops_by_plane.append(hops)
+            hop = hops.append
             plane = {}
-            for (k, v), t in zip(cells, hops):
-                plane[t] = plane.get(t, 0.0) + transfer(v, w[k * dim_z + z], dr)
+            for k, v in cells:
+                i = k * dim_z + z
+                t = targets[r[i]][k]
+                hop(t)
+                # transfer(v, w[i], dr) inline; a clamped share adds +0.0, so skip it
+                share = 1.0 / (1.0 + exp(-(v * w[i]))) - dr
+                if share > 0.0:
+                    plane[t] = plane.get(t, 0.0) + share
+            # every value is a sum of shares > 0.0
+            cells = sorted(plane.items())
         return None
 
     def plane(self, z: int) -> np.ndarray:

@@ -13,15 +13,18 @@ accepts, so it reads only the buckets of those indices; an unrestricted query
 reads every payload kind. Callers that need one neighbourhood several times
 between commits read it once and pass the list on.
 
-Queries keep the arithmetic of the plain definitions bit for bit: `math.exp`
-and sequential pid-order accumulation in the gradient, `(a - c) ** 2` in the
-radius distance. Trajectories are compared by digest, so one ulp of drift in
-either query changes a run.
+A radius query computes its cell range inline, `floor((c - r) / cell_size)`
+to `floor((c + r) / cell_size)` per axis, the same floor the rebuild uses to
+bucket a position. Queries keep the arithmetic of the plain definitions bit
+for bit: `math.exp` and sequential pid-order accumulation in the gradient,
+`(a - c) ** 2` in the radius distance. Trajectories are compared by digest, so
+one ulp of drift in either query changes a run.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import le
 from typing import Iterable, Optional
 
 from .codec import decode, encode
@@ -84,18 +87,17 @@ class NeuralGrid:
     # -- lifecycle ---------------------------------------------------------
 
     def in_bounds(self, pos) -> bool:
-        return all(lo <= c <= hi for c, lo, hi in zip(pos, self.bounds_min, self.bounds_max))
+        return all(map(le, self.bounds_min, pos)) and all(map(le, pos, self.bounds_max))
 
     def clamp(self, pos) -> tuple[float, float, float]:
-        return tuple(min(max(c, lo), hi)
-                     for c, lo, hi in zip(pos, self.bounds_min, self.bounds_max))
+        return tuple(map(min, map(max, pos, self.bounds_min), self.bounds_max))
 
     def new_payload(self, kind: str, index: int, position, magnitude: float,
                     ttl: int, properties: Optional[dict] = None) -> TransArchPayload:
         if magnitude <= 0:
             raise GridError(f"payload magnitude must be > 0, got {magnitude}")
         pl = TransArchPayload(pid=self.next_pid, kind=kind, index=index,
-                              position=tuple(float(c) for c in position),
+                              position=tuple(map(float, position)),
                               magnitude=float(magnitude), ttl=int(ttl),
                               properties=dict(properties or {}))
         self.next_pid += 1
@@ -128,17 +130,14 @@ class NeuralGrid:
 
     # -- spatial queries ---------------------------------------------------
 
-    def _cell_of(self, pos) -> tuple[int, int, int]:
-        return tuple(int(math.floor(c / self.cell_size)) for c in pos)
-
     def _rebuild_index(self) -> None:
         """Derive the query structures from the committed payloads, in pid order.
 
         Called after every change to `payloads`: cell buckets of (pid,
         position) for unfiltered `query_radius`, the same buckets split by
         `(index, cell)` and holding transmitters only for the filtered one, and
-        per-index (position, magnitude) lists for the gradient. Each cell is
-        computed inline and equals `_cell_of(position)`.
+        per-index (position, magnitude) lists for the gradient. A position's
+        cell is `floor(c / cell_size)` per axis.
         """
         floor, cs = math.floor, self.cell_size
         cells, transmitter_cells, by_index = {}, {}, {}
@@ -166,25 +165,29 @@ class NeuralGrid:
         """
         if r < 0:
             raise GridError(f"radius must be >= 0, got {r}")
+        floor, sqrt, cs = math.floor, math.sqrt, self.cell_size
         c0, c1, c2 = center
-        lo = self._cell_of((c0 - r, c1 - r, c2 - r))
-        hi = self._cell_of((c0 + r, c1 + r, c2 + r))
-        xs, ys, zs = range(lo[0], hi[0] + 1), range(lo[1], hi[1] + 1), range(lo[2], hi[2] + 1)
+        xs = range(floor((c0 - r) / cs), floor((c0 + r) / cs) + 1)
+        ys = range(floor((c1 - r) / cs), floor((c1 + r) / cs) + 1)
+        zs = range(floor((c2 - r) / cs), floor((c2 + r) / cs) + 1)
         if transmitter_indices is None:
-            buckets = self._cells
+            get = self._cells.get
             keys = [(cx, cy, cz) for cx in xs for cy in ys for cz in zs]
         else:
-            buckets = self._transmitter_cells
+            get = self._transmitter_cells.get
             keys = [(i, cx, cy, cz) for i in transmitter_indices
                     for cx in xs for cy in ys for cz in zs]
         found: list[tuple[float, int]] = []
         for key in keys:
-            for pid, (x, y, z) in buckets.get(key, ()):
-                d = math.sqrt((x - c0) ** 2 + (y - c1) ** 2 + (z - c2) ** 2)
+            for pid, (x, y, z) in get(key, ()):
+                d = sqrt((x - c0) ** 2 + (y - c1) ** 2 + (z - c2) ** 2)
                 if d <= r:
                     found.append((d, pid))
+        if not found:
+            return []
         found.sort()
-        return [self.payloads[pid] for _, pid in found]
+        payloads = self.payloads
+        return [payloads[pid] for _, pid in found]
 
     def density_gradient(self, pos, index: int, sigma: float = 1.0):
         """Gradient of the Gaussian kernel-density field of payloads with this index.

@@ -142,10 +142,11 @@ class ProcessNode:
         if len(self.dendrites) > n * n:
             raise StructureError(
                 f"node {self.id}: {len(self.dendrites)} dendrites exceed {n}x{n} entry plane")
-        if self.goal is not None and not (0 <= self.goal.z_index < dim_z
-                                          and self.goal.target_p.shape == (n, n)):
+        goal = self.goal
+        if goal is not None and not (0 <= goal.z_index < dim_z and goal.target_p.shape == (n, n)
+                                     and all(map(math.isfinite, goal.target_p.flat))):
             raise StructureError(
-                f"node {self.id}: goal plane must lie in [0, {dim_z}) and be {n}x{n}")
+                f"node {self.id}: goal plane must lie in [0, {dim_z}), be {n}x{n} and finite")
 
     # -- epoch lifecycle ---------------------------------------------------
 

@@ -86,10 +86,16 @@ def save(entity: Entity, path: str) -> None:
     os.replace(tmp, path)
 
 
+def _refuse_non_finite(token: str):
+    """`json.load`'s hook for the NaN, Infinity and -Infinity tokens, which
+    `save` never writes: the run would fail at its next save."""
+    raise SaveStateError(f"save state holds the non-finite number {token}")
+
+
 def load(path: str) -> Entity:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=_refuse_non_finite)
     except FileNotFoundError as exc:
         raise SaveStateError(f"save state not found: {path}") from exc
     except json.JSONDecodeError as exc:

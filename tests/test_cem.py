@@ -314,6 +314,19 @@ class TestForwardPropagate:
         assert t.forward_propagate([(0, 0, 0.5)], 100.0, 0.0) is None
         assert t.energy() > 0.5  # deposit plus transferred share
 
+    def test_clamped_share_records_its_hop_and_energizes_nothing(self):
+        # sigmoid(0.1 * 1.0) - 0.6 < 0: the share clamps to zero
+        t = PwrTensor(2, 3)
+        ref = copy.deepcopy(t)
+        assert transfer(0.1, 1.0, 0.6) == 0.0
+        assert t.forward_propagate([(1, 0, 0.1)], 10.0, 0.6) is None
+        assert t.last_trace.energized == [[(2, 0.1)], [], []]
+        assert t.last_trace.hops_by_plane == [[2], []]  # CENTER route: straight up
+        ref_spike, ref_p = reference_forward_propagate(ref, [(1, 0, 0.1)], 10.0, 0.6)
+        assert ref_spike is None
+        assert t.last_trace == ref.last_trace
+        assert dense(t).tobytes() == ref_p.tobytes()
+
     def test_matches_oracle_on_random_tensors(self):
         for seed in range(25):
             rng = random.Random(seed)

@@ -7,6 +7,7 @@ import pytest
 from eden.cli import (EXIT_CONFIG, EXIT_DIVERGENT, EXIT_MISSING, EXIT_OK,
                       EXIT_SCHEMA, main)
 from eden import store
+from eden.grid import TRANSMITTER
 from eden.runner import input_probe_from_spec
 
 
@@ -134,6 +135,9 @@ class TestTrain:
         assert records[1]["environment_events"] == []
 
 
+NON_FINITE = "non-finite"  # stands for the number's JSON text until the state is written
+
+
 def with_energy_cell(cem):
     """A saved CEM whose energy lattice holds 0.5 at cell (0, 0, 0)."""
     cem["p"][0][0][0] = 0.5
@@ -223,6 +227,34 @@ class TestTrainRejectsBadInputBeforeEpochZero:
             json.dump(doc, fh)
         if request.node.callspec.id == "weights-nan":
             assert "NaN" in open(state_path).read()  # the JSON token Python reads back
+        self._train(tmp_path, state_path, "--pattern", pattern)
+
+    @pytest.mark.parametrize("token, place", [
+        ("NaN", "goal"), ("Infinity", "goal"), ("-Infinity", "goal"),
+        ("1e999", "goal"),  # parses to inf without a token
+        ("NaN", "soma"), ("NaN", "gain"), ("NaN", "payload"),
+    ])
+    def test_non_finite_number_in_the_state(self, tmp_path, state_path, token, place):
+        pattern = write_pattern(tmp_path, state_path)  # stimulates node 0
+        entity = store.load(state_path)
+        dendrite = entity.nodes[min(entity.nodes)].dendrites[0]
+        entity.grid.deposit(entity.grid.new_payload(  # where node 0 collects
+            TRANSMITTER, 0, dendrite.position, 1.0, 3))
+        entity.grid.commit()
+        store.save(entity, state_path)
+        doc = json.load(open(state_path))
+        node = doc["entity"]["nodes"][0]
+        if place == "goal":
+            node["goal"] = {"z_index": 1, "target_p": [[0.0, 0.0, 0.0], [0.0, NON_FINITE, 0.0],
+                                                       [0.0, 0.0, 0.0]]}
+        elif place == "soma":
+            node["soma_position"][1] = NON_FINITE
+        elif place == "gain":
+            node["dendrites"][0]["gain"] = NON_FINITE
+        else:
+            doc["entity"]["grid"]["payloads"][0]["magnitude"] = NON_FINITE
+        with open(state_path, "w") as fh:
+            fh.write(json.dumps(doc).replace(json.dumps(NON_FINITE), token))
         self._train(tmp_path, state_path, "--pattern", pattern)
 
 

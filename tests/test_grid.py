@@ -106,6 +106,31 @@ class TestQueryRadius:
                     if math.dist(pl.position, center) <= r)
                 assert got == [pid for _, pid in expected]
 
+    def test_cell_range_at_cell_boundaries(self):
+        # payloads on cell boundaries, and centres whose c - r or c + r lands on
+        # one; the grid reaches below zero, where floor and truncation differ
+        g = NeuralGrid((-6, -6, -6), (10, 10, 10), cell_size=2.0)
+        spots = [(x, y, 4.0) for x in (-2.0, 0.0, 2.0, 4.0, 6.0) for y in (-2.0, 2.0, 4.0)]
+        for i, pos in enumerate(spots + [(-1.5, -1.5, 4.0)]):
+            kind = ARCHITECTOR if i % 3 == 2 else TRANSMITTER
+            g.deposit(g.new_payload(kind, i % 2, pos, 1.0, 3))
+        g.commit()
+        queries = [((4, 4, 4), 2), ((4.0, 2.0, 4.0), 2.0), ((2.0, 2.0, 6.0), 2.0),
+                   ((-4.0, 4.0, 4.0), 2.0), ((-1.0, 2.0, 4.0), 3.0), ((0.0, -4.0, 2.0), 2.0),
+                   ((6, 4, 4), 0), ((-6, -6, -6), 2), ((-2.5, -2.5, 4.0), 0.5),
+                   ((-1.0, -1.0, 4.0), 0.75), ((3.0, 3.0, 4.0), 1.0)]
+        hits = 0
+        for center, r in queries:
+            found = [pl.pid for pl in g.query_radius(center, r)]
+            assert found == reference_query_radius(g, center, r)
+            hits += len(found)
+            for indices in ({0}, {1}, {0, 1}):
+                assert ([pl.pid for pl in g.query_radius(center, r, indices)]
+                        == reference_filtered_query(g, center, r, indices))
+        assert [pl.position for pl in g.query_radius((-4.0, 4.0, 4.0), 2.0)] == [(-2.0, 4.0, 4.0)]
+        assert [pl.position for pl in g.query_radius((-1.0, -1.0, 4.0), 0.75)] == [(-1.5, -1.5, 4.0)]
+        assert hits > len(queries)
+
     def test_identical_queries_between_commits(self):
         g = make_grid()
         rng = random.Random(2)
