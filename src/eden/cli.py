@@ -18,7 +18,7 @@ import sys
 
 from .codec import decode
 from .config import ConfigError, EngineConfig
-from .runner import OutputProbe, check_input_probe, input_probe_from_spec, run_epoch
+from .runner import OutputProbe, input_probe_from_spec, run_epoch
 from . import store
 
 EXIT_OK = 0
@@ -59,7 +59,7 @@ def _attach_pattern(entity, pattern_path: str) -> None:
                                for spec in data.get("input_probes", [])]
         entity.output_probes = [decode(OutputProbe, {"history": [], **spec})
                                 for spec in data.get("output_probes", [])]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CliError(EXIT_SCHEMA, f"invalid pattern file: {exc}") from exc
 
 
@@ -102,12 +102,6 @@ def cmd_train(args) -> int:
         entity.rng = random.Random(args.seed_override)
     if args.pattern:
         _attach_pattern(entity, args.pattern)
-    # reject what would fail mid-run before the first epoch, so nothing is lost
-    try:
-        for probe in entity.input_probes:
-            check_input_probe(probe)
-    except ValueError as exc:
-        raise CliError(EXIT_SCHEMA, f"invalid input probe: {exc}")
     rules = None
     if args.rules:
         try:

@@ -8,11 +8,18 @@ irregular ones: ``"key"`` renames the JSON key and ``"codec"`` gives an
 ``(encode, decode)`` pair, where a ``None`` decoder marks a reference the
 caller passes to ``decode`` by field name. Each class's converter plan is
 built once and cached, so saving does no per-value type dispatch.
+
+Decoding refuses with ``ValueError`` what a run could not save: a non-finite
+``float`` (``1e999`` parses to inf without a token), a fixed-length tuple of
+another length, and a non-finite number anywhere inside a bare ``dict`` or
+``list`` of free-form JSON.
 """
 from __future__ import annotations
 
 import dataclasses
 import functools
+import json
+import math
 import typing
 
 import numpy as np
@@ -43,17 +50,47 @@ def _optional(conv):
     return lambda v: None if v is None else conv(v)
 
 
+def _finite_float(value) -> float:
+    f = float(value)
+    if not math.isfinite(f):
+        raise ValueError(f"non-finite number {value!r}")
+    return f
+
+
+def _free_form(conv):
+    """A free-form JSON decoder that refuses what `save` refuses: non-finite numbers."""
+    def dec(value):
+        value = conv(value)
+        try:
+            json.dumps(value, allow_nan=False)
+        except ValueError as exc:
+            raise ValueError(f"free-form JSON holding a non-finite number: {exc}") from exc
+        return value
+    return dec
+
+
+def _sequence(origin, dec, length, value):
+    """``value`` decoded item by item; a fixed-length tuple's ``length`` is checked."""
+    if length is not None and len(value) != length:
+        raise ValueError(f"{value!r} does not hold {length} values")
+    return origin([dec(x) for x in value])
+
+
 @functools.cache
 def _converters(tp) -> tuple:
     """The (encode, decode) pair for one field annotation."""
     if dataclasses.is_dataclass(tp):
         return encode, functools.partial(decode, tp)
     if tp is float:
-        return float, float
-    if tp in (int, bool, dict):  # a bare dict holds free-form JSON, copied on load
+        return float, _finite_float
+    if tp in (int, bool):
         return _identity, tp
-    if tp in (str, list):  # a bare list holds free-form JSON
+    if tp is str:
         return _identity, _identity
+    if tp is dict:  # a bare dict holds free-form JSON, copied on load
+        return _identity, _free_form(dict)
+    if tp is list:  # a bare list holds free-form JSON
+        return _identity, _free_form(_identity)
     if tp is np.ndarray:  # the constructor fixes the dtype
         return np.ndarray.tolist, _identity
     origin, args = typing.get_origin(tp), typing.get_args(tp)
@@ -65,7 +102,8 @@ def _converters(tp) -> tuple:
         return (lambda v: sorted(enc(x) for x in v)), (lambda v: {dec(x) for x in v})
     if origin in (list, tuple):
         enc, dec = _converters(args[0])
-        return (lambda v: [enc(x) for x in v]), (lambda v: origin([dec(x) for x in v]))
+        length = None if origin is list or args[-1] is Ellipsis else len(args)
+        return (lambda v: [enc(x) for x in v]), functools.partial(_sequence, origin, dec, length)
     if origin is dict and args == (int, str):  # JSON object keys are strings
         return (lambda v: {str(k): x for k, x in v.items()},
                 lambda v: {int(k): x for k, x in v.items()})

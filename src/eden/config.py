@@ -2,7 +2,25 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
+
+
+def _finite(x) -> bool:
+    try:
+        return isinstance(x, (int, float)) and math.isfinite(x)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def _point(x) -> bool:
+    return isinstance(x, (list, tuple)) and len(x) == 3 and all(map(_finite, x))
+
+
+# field annotation -> (what a value must be, the check it must pass)
+_KINDS = {"int": ("an integer", lambda x: isinstance(x, int)),
+          "float": ("a finite number", _finite),
+          "tuple[float, float, float]": ("3 finite numbers", _point)}
 
 
 class ConfigError(ValueError):
@@ -60,7 +78,10 @@ class EngineConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        v: list[str] = []
+        v = [f"{f.name} must be {_KINDS[f.type][0]}, got {getattr(self, f.name)!r}"
+             for f in fields(self) if not _KINDS[f.type][1](getattr(self, f.name))]
+        if v:  # the range checks below compare numbers
+            raise ConfigError(v)
         if self.dim_xy < 1:
             v.append(f"dim_xy must be >= 1, got {self.dim_xy}")
         if self.dim_z < 1:
@@ -132,6 +153,8 @@ class EngineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EngineConfig":
+        if not isinstance(data, dict):
+            raise ConfigError([f"a config is a JSON object, got {data!r}"])
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
@@ -142,7 +165,10 @@ class EngineConfig:
                 val = kwargs[key]
                 if not (isinstance(val, (list, tuple)) and len(val) == 3):
                     raise ConfigError([f"{key} must be a 3-element list"])
-                kwargs[key] = tuple(float(x) for x in val)
+                try:
+                    kwargs[key] = tuple(float(x) for x in val)
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError([f"{key}: {exc}"]) from exc
         cfg = cls(**kwargs)
         cfg.validate()
         return cfg

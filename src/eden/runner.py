@@ -7,6 +7,7 @@ determines the trajectory.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Optional
@@ -33,41 +34,48 @@ def rng_state_from_json(state: list) -> random.Random:
 
 @dataclass
 class InputProbe:
+    """A stimulus: each epoch deposits one frame's transmitter payloads around
+    ``position``, then advances ``cursor`` to the next frame.
+
+    Building a probe checks every frame item once and raises ``ValueError``
+    unless Propagate can deposit it: a finite ``offset`` of 3 numbers, an
+    ``index``, a finite ``magnitude`` and an optional ``excitatory`` (default 1).
+    ``frames`` stays the saved form; ``items`` holds each frame converted to
+    ``(offset, index, magnitude, excitatory)`` tuples.
+    """
     probe_id: int
     position: tuple[float, float, float]
-    frames: list  # each frame: list of {"offset", "index", "magnitude", ...}
+    frames: list
     cursor: int = 0
     noise: float = 0.0  # uniform relative jitter applied to magnitudes
+    items: list = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        try:
+            if len(self.position) != 3:
+                raise ValueError(f"position {self.position!r} is not 3 numbers")
+            if self.frames and not 0 <= self.cursor < len(self.frames):
+                raise ValueError(f"cursor {self.cursor} is not a frame of {len(self.frames)}")
+            self.items = [[_frame_item(item) for item in frame] for frame in self.frames or ()]
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"input probe {self.probe_id}: {exc!r}") from exc
+
+
+def _frame_item(item: dict) -> tuple:
+    """One frame item as the ``(offset, index, magnitude, excitatory)`` it deposits."""
+    offset = item["offset"]
+    if len(offset) != 3 or not all(isinstance(o, (int, float)) and math.isfinite(o)
+                                   for o in offset):
+        raise ValueError(f"offset {offset!r} is not 3 finite numbers")
+    magnitude = float(item["magnitude"])
+    if not math.isfinite(magnitude):
+        raise ValueError(f"magnitude {magnitude!r} is not finite")
+    return tuple(offset), int(item["index"]), magnitude, int(item.get("excitatory", 1))
 
 
 def input_probe_from_spec(spec: dict) -> InputProbe:
     """An input probe from a pattern-file or rule spec; cursor and noise are optional."""
     return decode(InputProbe, {"cursor": 0, "noise": 0.0, **spec})
-
-
-def check_input_probe(probe: InputProbe) -> None:
-    """Raise ValueError unless the propagate phase can deposit every frame item.
-
-    The probe needs a position of 3 numbers and, when it has frames, a
-    cursor that indexes one of them. An item needs an ``offset`` of 3
-    numbers and an ``index``, a ``magnitude`` and an optional ``excitatory``
-    that convert as that phase converts them.
-    """
-    try:
-        if len(probe.position) != 3:
-            raise ValueError(f"position {probe.position!r} is not 3 numbers")
-        if probe.frames and not 0 <= probe.cursor < len(probe.frames):
-            raise ValueError(f"cursor {probe.cursor} is not a frame of {len(probe.frames)}")
-        for frame in probe.frames or ():
-            for item in frame:
-                offset = item["offset"]
-                if len(offset) != 3 or not all(isinstance(o, (int, float)) for o in offset):
-                    raise ValueError(f"offset {offset!r} is not 3 numbers")
-                int(item["index"])
-                float(item["magnitude"])
-                int(item.get("excitatory", 1))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"input probe {probe.probe_id}: {exc!r}") from exc
 
 
 @dataclass
@@ -206,19 +214,16 @@ def propagate_phase(entity: Entity) -> dict[int, list[SpikeEvent]]:
     for probe in sorted(entity.input_probes, key=lambda p: p.probe_id):
         if not probe.frames:
             continue
-        frame = probe.frames[probe.cursor]
+        items = probe.items[probe.cursor]
         probe.cursor = (probe.cursor + 1) % len(probe.frames)
-        for item in frame:
-            pos = entity.grid.clamp(tuple(
-                c + o for c, o in zip(probe.position, item["offset"])))
-            mag = float(item["magnitude"])
+        for offset, index, mag, excitatory in items:
+            pos = entity.grid.clamp(tuple(c + o for c, o in zip(probe.position, offset)))
             if probe.noise > 0:
                 mag *= 1.0 + rng.uniform(-probe.noise, probe.noise)
             if mag <= 0:
                 continue
-            props = {"excitatory": int(item.get("excitatory", 1))}
             entity.grid.deposit(entity.grid.new_payload(
-                TRANSMITTER, int(item["index"]), pos, mag, cfg.payload_ttl, props))
+                TRANSMITTER, index, pos, mag, cfg.payload_ttl, {"excitatory": excitatory}))
     entity.grid.commit()
 
     claimed: set[int] = set()

@@ -10,6 +10,7 @@ The session log (`*.session.jsonl`) is append-only, one record per epoch.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -19,8 +20,8 @@ from .config import EngineConfig
 from .functome import Functome
 from .grid import ARCHITECTOR, TRANSMITTER, NeuralGrid
 from .node import ProcessNode
-from .runner import (Entity, EpochReport, InputProbe, OutputProbe, check_input_probe,
-                     input_probe_from_spec, rng_state_from_json, rng_state_to_json)
+from .runner import (Entity, EpochReport, InputProbe, OutputProbe, input_probe_from_spec,
+                     rng_state_from_json, rng_state_to_json)
 
 FORMAT_VERSION = 1
 
@@ -62,8 +63,6 @@ def entity_from_dict(data: dict) -> Entity:
         node = decode(ProcessNode, nd, functome=entity.functomes[fid])
         entity.nodes[node.id] = node
     entity.input_probes = [decode(InputProbe, p) for p in data["input_probes"]]
-    for probe in entity.input_probes:
-        check_input_probe(probe)  # refuse at load what would fail mid-run
     entity.output_probes = [decode(OutputProbe, p) for p in data["output_probes"]]
     return entity
 
@@ -106,7 +105,7 @@ def load(path: str) -> Entity:
             f"save state {path} has format_version {version}, expected {FORMAT_VERSION}")
     try:
         entity = entity_from_dict(doc["entity"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, SaveStateError):
             raise
         raise SaveStateError(f"invalid save state {path}: {exc}") from exc
@@ -206,7 +205,8 @@ class EnvironmentControlRule:
         """Raise RuleError unless `holds` and `apply` can run against this grid.
 
         Every key they read must be present and convert as they convert it; a
-        deposit needs a known kind, magnitude > 0 and a position inside the grid.
+        deposit needs a known kind, a finite magnitude > 0, a position inside the
+        grid and properties that hold no non-finite number.
         """
         p, e = self.precondition, self.effect
         try:
@@ -216,7 +216,7 @@ class EnvironmentControlRule:
                 raise KeyError("probe_id")
             kind = e["type"]
             if kind == "add_input_probe":
-                check_input_probe(input_probe_from_spec(e["probe"]))
+                input_probe_from_spec(e["probe"])
             elif kind == "remove_input_probe":
                 if "probe_id" not in e:
                     raise KeyError("probe_id")
@@ -227,11 +227,11 @@ class EnvironmentControlRule:
                     raise ValueError(f"position {position} is not a point inside the grid")
                 if spec.get("kind", TRANSMITTER) not in (TRANSMITTER, ARCHITECTOR):
                     raise ValueError(f"unknown payload kind {spec['kind']!r}")
-                if not float(spec["magnitude"]) > 0:
-                    raise ValueError(f"magnitude {spec['magnitude']} is not > 0")
+                if not 0 < float(spec["magnitude"]) < math.inf:
+                    raise ValueError(f"magnitude {spec['magnitude']} is not finite and > 0")
                 int(spec["index"])
                 int(spec.get("ttl", 0))
-                dict(spec.get("properties", {}))
+                json.dumps(dict(spec.get("properties", {})), allow_nan=False)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise RuleError(f"rule with effect {e}: {exc!r}") from exc
 

@@ -49,3 +49,13 @@ class TestLoading:
     def test_bad_bounds_shape(self):
         with pytest.raises(ConfigError):
             EngineConfig.from_dict({"bounds_min": [0, 0]})
+
+    @pytest.mark.parametrize("data", [
+        {"dim_xy": "4"}, {"dim_xy": 4.5}, {"seed": 1e999},
+        {"min_e": 1e999}, {"at_mod": 1e999},
+        {"bounds_max": [10, 10, 1e999]}, {"bounds_max": [10, 10, "ten"]},
+        {"bounds_max": [10, 10, None]}, [],
+    ])
+    def test_values_a_run_could_not_use_or_save(self, data):
+        with pytest.raises(ConfigError):
+            EngineConfig.from_dict(data)

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from eden import store
 from eden.config import EngineConfig
-from eden.runner import InputProbe, OutputProbe, check_input_probe, run_epoch, seed_entity
+from eden.runner import InputProbe, OutputProbe, run_epoch, seed_entity
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "data", "golden.eden.json")
@@ -87,7 +87,6 @@ def small_runs(draw):
 @given(small_runs())
 def test_random_entities_fixpoint_and_resume(run):
     config, probe, locked, epochs, split = run
-    check_input_probe(probe)  # every probe that runs passes the pre-run check
     entity = seed_entity(config)
     entity.input_probes = [probe]
     entity.output_probes = [OutputProbe(probe_id=0, position=probe.position, radius=3.0)]

@@ -8,9 +8,8 @@ from eden.config import EngineConfig
 from eden.functome import ActionGene, functome_hash
 from eden.grid import TRANSMITTER
 from eden.node import Dendrite
-from eden.runner import (Entity, InputProbe, OutputProbe, check_input_probe,
-                         develop_phase, evaluate_prune_phase, propagate_phase,
-                         run_epoch, seed_entity)
+from eden.runner import (Entity, InputProbe, OutputProbe, develop_phase,
+                         evaluate_prune_phase, propagate_phase, run_epoch, seed_entity)
 
 
 def small_config(**overrides):
@@ -277,31 +276,33 @@ class TestCheckInputProbe:
         {**GOOD_ITEM, "magnitude": "big"},
         {**GOOD_ITEM, "excitatory": "yes"},
         "not an item",
+        {**GOOD_ITEM, "magnitude": float("nan")},
+        {**GOOD_ITEM, "magnitude": 1e999},
+        {**GOOD_ITEM, "offset": [0, float("nan"), 0]},
+        {**GOOD_ITEM, "offset": [0, 0, -1e999]},
     ])
     def test_rejects_items_propagate_cannot_deposit(self, item):
         with pytest.raises(ValueError):
-            check_input_probe(InputProbe(probe_id=0, position=(5, 5, 5),
-                                         frames=[[GOOD_ITEM], [item]]))
+            InputProbe(probe_id=0, position=(5, 5, 5), frames=[[GOOD_ITEM], [item]])
 
     @pytest.mark.parametrize("cursor", [2, 5, -1])
     def test_rejects_a_cursor_outside_the_frames(self, cursor):
         with pytest.raises(ValueError):
-            check_input_probe(InputProbe(probe_id=0, position=(5, 5, 5),
-                                         frames=[[GOOD_ITEM], [GOOD_ITEM]], cursor=cursor))
+            InputProbe(probe_id=0, position=(5, 5, 5),
+                       frames=[[GOOD_ITEM], [GOOD_ITEM]], cursor=cursor)
 
     def test_cursor_of_a_frameless_probe_is_not_read(self):
-        check_input_probe(InputProbe(probe_id=0, position=(5, 5, 5), frames=[], cursor=3))
+        InputProbe(probe_id=0, position=(5, 5, 5), frames=[], cursor=3)
 
     def test_rejects_a_position_that_is_not_a_point(self):
         with pytest.raises(ValueError):
-            check_input_probe(InputProbe(probe_id=0, position=(5, 5), frames=[[GOOD_ITEM]]))
+            InputProbe(probe_id=0, position=(5, 5), frames=[[GOOD_ITEM]])
 
     def test_accepts_items_propagate_deposits(self):
         entity = seed_entity(small_config())
         probe = InputProbe(probe_id=0, position=(5, 5, 5), frames=[[], [
             GOOD_ITEM, {"offset": [0.5, -1, 0], "index": 1.0, "magnitude": 2},
             {**GOOD_ITEM, "magnitude": -1.0, "excitatory": -1}]])
-        check_input_probe(probe)
         entity.input_probes.append(probe)
         for _ in range(2):
             propagate_phase(entity)

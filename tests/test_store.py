@@ -197,6 +197,11 @@ class TestEnvironmentRules:
                                                        "magnitude": 1.0, "kind": "dust"}}),
         (None, {"type": "deposit_payload", "payload": {"index": 0, "position": [5, 5, 5],
                                                        "magnitude": 1.0, "ttl": "long"}}),
+        (None, {"type": "deposit_payload", "payload": {"index": 0, "position": [5, 5, 5],
+                                                       "magnitude": 1e999}}),
+        (None, {"type": "deposit_payload", "payload": {
+            "index": 0, "position": [5, 5, 5], "magnitude": 1.0,
+            "properties": {"excitatory": 1, "weight": [float("nan")]}}}),
     ])
     def test_check_rejects_what_would_fail_mid_run(self, precondition, effect):
         kw = {k: v for k, v in (("precondition", precondition), ("effect", effect)) if v}
