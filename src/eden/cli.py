@@ -3,7 +3,7 @@
 Exit codes:
   0  success
   2  invalid arguments or configuration
-  3  a named input file is missing
+  3  a named file is missing or cannot be read
   4  schema or format-version violation
   5  runtime failure
   1  replay divergence
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import random
 import sys
 
@@ -29,49 +28,23 @@ EXIT_SCHEMA = 4
 EXIT_RUNTIME = 5
 
 
-class CliError(Exception):
-    def __init__(self, code: int, message: str):
-        self.code = code
-        self.message = message
-        super().__init__(message)
-
-
-def _load_state(path: str):
-    try:
-        return store.load(path)
-    except store.SaveStateError as exc:
-        code = EXIT_MISSING if isinstance(exc.__cause__, FileNotFoundError) else EXIT_SCHEMA
-        raise CliError(code, str(exc)) from exc
+class PatternError(store.InputError):
+    """Malformed pattern file."""
 
 
 def _attach_pattern(entity, pattern_path: str) -> None:
-    try:
-        with open(pattern_path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except FileNotFoundError as exc:
-        raise CliError(EXIT_MISSING, f"pattern file not found: {pattern_path}") from exc
-    except json.JSONDecodeError as exc:
-        raise CliError(EXIT_SCHEMA, f"malformed pattern file: {exc}") from exc
+    data = store.read_json(pattern_path, PatternError)
     if isinstance(data, list):
         data = {"input_probes": data}
-    try:
+    with store.refused_as(PatternError, f"pattern file {pattern_path}"):
         entity.input_probes = [input_probe_from_spec(spec)
                                for spec in data.get("input_probes", [])]
         entity.output_probes = [decode(OutputProbe, {"history": [], **spec})
                                 for spec in data.get("output_probes", [])]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise CliError(EXIT_SCHEMA, f"invalid pattern file: {exc}") from exc
 
 
 def cmd_init(args) -> int:
-    try:
-        config = EngineConfig.from_file(args.config)
-    except FileNotFoundError:
-        raise CliError(EXIT_MISSING, f"config file not found: {args.config}")
-    except json.JSONDecodeError as exc:
-        raise CliError(EXIT_SCHEMA, f"malformed config file: {exc}")
-    except ConfigError as exc:
-        raise CliError(EXIT_CONFIG, str(exc))
+    config = EngineConfig.from_dict(store.read_json(args.config, store.InputError))
     if args.seed_override is not None:
         config.seed = args.seed_override
     from .runner import seed_entity
@@ -94,7 +67,7 @@ def run_training(entity, epochs: int, log_path=None, rules=None):
 
 
 def cmd_train(args) -> int:
-    entity = _load_state(args.state)
+    entity = store.load(args.state)
     if args.epochs == 0:
         print("0 epochs requested; state untouched")
         return EXIT_OK
@@ -102,16 +75,13 @@ def cmd_train(args) -> int:
         entity.rng = random.Random(args.seed_override)
     if args.pattern:
         _attach_pattern(entity, args.pattern)
-    rules = None
-    if args.rules:
+    rules = store.load_rules(args.rules, entity.grid) if args.rules else None
+    if args.log:  # refused now, not after the first epoch has run
         try:
-            rules = store.load_rules(args.rules)
-            for rule in rules:
-                rule.check(entity.grid)
-        except FileNotFoundError:
-            raise CliError(EXIT_MISSING, f"rules file not found: {args.rules}")
-        except (store.RuleError, json.JSONDecodeError) as exc:
-            raise CliError(EXIT_SCHEMA, f"invalid rules file: {exc}")
+            open(args.log, "a", encoding="utf-8").close()
+        except OSError as exc:
+            raise store.InputError(f"cannot append to session log {args.log}: "
+                                   f"{exc.strerror}") from exc
     reports = run_training(entity, args.epochs, args.log, rules)
     store.save(entity, args.state)
     total_spikes = sum(len(evs) for r in reports for evs in r.spikes.values())
@@ -121,7 +91,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_lock(args) -> int:
-    entity = _load_state(args.state)
+    entity = store.load(args.state)
     store.lock(entity)
     store.save(entity, args.state)
     print(f"locked {args.state}")
@@ -129,7 +99,7 @@ def cmd_lock(args) -> int:
 
 
 def cmd_unlock(args) -> int:
-    entity = _load_state(args.state)
+    entity = store.load(args.state)
     store.unlock(entity)
     store.save(entity, args.state)
     print(f"unlocked {args.state}")
@@ -137,7 +107,7 @@ def cmd_unlock(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    entity = _load_state(args.state)
+    entity = store.load(args.state)
     stabilities = [n.stability_index for n in entity.nodes.values()]
     print(f"entity clock : {entity.entity_clock}")
     print(f"locked       : {entity.locked}")
@@ -158,27 +128,27 @@ def cmd_inspect(args) -> int:
     return EXIT_OK
 
 
+def _metrics_row(rec: dict) -> list:
+    stab = list(rec["stability"].values())
+    spikes = sum(len(v) for v in rec["spikes"].values())
+    return [rec["epoch"], len(rec["nodes"]), spikes,
+            f"{sum(stab) / len(stab):.9f}" if stab else "",
+            f"{min(stab):.9f}" if stab else "",
+            f"{max(stab):.9f}" if stab else "",
+            len(rec["pruned"]), len(rec["born"])]
+
+
 def cmd_export_metrics(args) -> int:
-    try:
-        records = store.read_session_log(args.log)
-    except FileNotFoundError:
-        raise CliError(EXIT_MISSING, f"session log not found: {args.log}")
+    records = store.read_session_log(args.log)
+    with store.refused_as(store.InputError, f"session log {args.log}"):
+        rows = [_metrics_row(rec) for rec in records]  # before the CSV is opened
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "node_count", "spike_count",
                          "stability_mean", "stability_min", "stability_max",
                          "pruned", "born"])
-        for rec in records:
-            stab = [v for v in rec["stability"].values()]
-            spikes = sum(len(v) for v in rec["spikes"].values())
-            writer.writerow([
-                rec["epoch"], len(rec["nodes"]), spikes,
-                f"{sum(stab) / len(stab):.9f}" if stab else "",
-                f"{min(stab):.9f}" if stab else "",
-                f"{max(stab):.9f}" if stab else "",
-                len(rec["pruned"]), len(rec["born"]),
-            ])
-    print(f"wrote {len(records)} rows -> {args.out}")
+        writer.writerows(rows)
+    print(f"wrote {len(rows)} rows -> {args.out}")
     return EXIT_OK
 
 
@@ -186,7 +156,7 @@ def replay_reports(state_path: str, epochs: int) -> tuple[str, str]:
     """Run the same save state twice from scratch; return both report streams."""
     streams = []
     for _ in range(2):
-        entity = _load_state(state_path)
+        entity = store.load(state_path)
         reports = [run_epoch(entity).to_dict() for _ in range(epochs)]
         streams.append(store.dumps_canonical(reports))
     return streams[0], streams[1]
@@ -199,6 +169,13 @@ def cmd_replay(args) -> int:
         return EXIT_OK
     print("divergent")
     return EXIT_DIVERGENT
+
+
+def _epoch_count(text: str) -> int:
+    epochs = int(text)
+    if epochs < 0:
+        raise argparse.ArgumentTypeError(f"{epochs} is not a count of epochs")
+    return epochs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -216,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="run training epochs on a save state")
     p.add_argument("--state", required=True)
-    p.add_argument("--epochs", type=int, required=True)
+    p.add_argument("--epochs", type=_epoch_count, required=True)
     p.add_argument("--pattern", default=None, help="input pattern JSON file")
     p.add_argument("--log", default=None, help="session log path (*.session.jsonl)")
     p.add_argument("--rules", default=None, help="environment rules JSON file")
@@ -242,23 +219,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("replay", help="verify determinism by running twice and diffing")
     p.add_argument("--state", required=True)
-    p.add_argument("--epochs", type=int, required=True)
+    p.add_argument("--epochs", type=_epoch_count, required=True)
     p.set_defaults(func=cmd_replay)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error[{exc.code}]: {exc.message}", file=sys.stderr)
-        return exc.code
-    except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(f"error[{EXIT_RUNTIME}]: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    except Exception as exc:  # noqa: BLE001 - CLI boundary: every failure maps to an exit code
+        if isinstance(exc, ConfigError):
+            code = EXIT_CONFIG
+        elif isinstance(exc, store.InputError):
+            code = EXIT_MISSING if isinstance(exc.__cause__, OSError) else EXIT_SCHEMA
+        else:
+            code = EXIT_RUNTIME
+        print(f"error[{code}]: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -1,7 +1,6 @@
 """Engine configuration: every tunable the simulation reads, validated up front."""
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, fields
 
@@ -161,19 +160,8 @@ class EngineConfig:
             raise ConfigError([f"unknown config key: {k}" for k in unknown])
         kwargs = dict(data)
         for key in ("bounds_min", "bounds_max"):
-            if key in kwargs:
-                val = kwargs[key]
-                if not (isinstance(val, (list, tuple)) and len(val) == 3):
-                    raise ConfigError([f"{key} must be a 3-element list"])
-                try:
-                    kwargs[key] = tuple(float(x) for x in val)
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError([f"{key}: {exc}"]) from exc
+            if _point(kwargs.get(key)):  # anything else is left for `validate` to refuse
+                kwargs[key] = tuple(map(float, kwargs[key]))
         cfg = cls(**kwargs)
         cfg.validate()
         return cfg
-
-    @classmethod
-    def from_file(cls, path: str) -> "EngineConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))

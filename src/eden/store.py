@@ -6,12 +6,14 @@ a byte fixpoint, and the serialized RNG state makes resumed runs bit-identical
 to uninterrupted ones. A type's persisted state is its dataclass init fields,
 written and read by `eden.codec`; runtime-only attributes are `init=False`.
 The session log (`*.session.jsonl`) is append-only, one record per epoch.
+Every input file is read by `read_json`, and each refusal is an `InputError`.
 """
 from __future__ import annotations
 
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -26,8 +28,51 @@ from .runner import (Entity, EpochReport, InputProbe, OutputProbe, input_probe_f
 FORMAT_VERSION = 1
 
 
-class SaveStateError(ValueError):
+class InputError(ValueError):
+    """An input file refused before the first epoch; its ``__cause__`` is the
+    ``OSError`` when the file could not be opened or read."""
+
+
+class SaveStateError(InputError):
     """Unreadable, malformed or version-mismatched save state."""
+
+
+def _refuse_non_finite(token: str):
+    """`json.load`'s hook for the NaN, Infinity and -Infinity tokens, which
+    neither `save` nor the session log writes: a run would fail at its next save."""
+    raise ValueError(f"non-finite number {token}")
+
+
+def read_json(path: str, error: type[InputError], lines: bool = False):
+    """The JSON document in the UTF-8 file at `path`, or with `lines` the list
+    of documents on its non-blank lines: the one way an input file is read.
+
+    Raises `error` from the `OSError` when the file cannot be opened or read,
+    and from the `ValueError` when its bytes are not UTF-8 or not JSON, or hold
+    a `NaN`, `Infinity` or `-Infinity` token.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            if lines:
+                return [json.loads(line, parse_constant=_refuse_non_finite)
+                        for line in fh if line.strip()]
+            return json.load(fh, parse_constant=_refuse_non_finite)
+    except OSError as exc:
+        raise error(f"{path} not found or not readable: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise error(f"malformed {path}: {exc}") from exc
+
+
+@contextmanager
+def refused_as(error: type[InputError], what: str):
+    """Raise `error` for what building `what` from parsed JSON raises: a key
+    that is missing, or a value of the wrong type or out of range."""
+    try:
+        yield
+    except InputError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise error(f"invalid {what}: {exc!r}") from exc
 
 
 def entity_to_dict(entity: Entity) -> dict:
@@ -85,32 +130,16 @@ def save(entity: Entity, path: str) -> None:
     os.replace(tmp, path)
 
 
-def _refuse_non_finite(token: str):
-    """`json.load`'s hook for the NaN, Infinity and -Infinity tokens, which
-    `save` never writes: the run would fail at its next save."""
-    raise SaveStateError(f"save state holds the non-finite number {token}")
-
-
 def load(path: str) -> Entity:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh, parse_constant=_refuse_non_finite)
-    except FileNotFoundError as exc:
-        raise SaveStateError(f"save state not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise SaveStateError(f"malformed save state {path}: {exc}") from exc
-    version = doc.get("format_version")
+    doc = read_json(path, SaveStateError)
+    version = doc.get("format_version") if isinstance(doc, dict) else None
     if version != FORMAT_VERSION:
         raise SaveStateError(
             f"save state {path} has format_version {version}, expected {FORMAT_VERSION}")
-    try:
+    with refused_as(SaveStateError, f"save state {path}"):
         entity = entity_from_dict(doc["entity"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        if isinstance(exc, SaveStateError):
-            raise
-        raise SaveStateError(f"invalid save state {path}: {exc}") from exc
-    entity.rng = rng_state_from_json(doc["rng_state"])
-    entity.locked = bool(doc["locked"])
+        entity.rng = rng_state_from_json(doc["rng_state"])
+        entity.locked = bool(doc["locked"])
     return entity
 
 
@@ -164,19 +193,13 @@ def append_session_record(log_path: str, report: EpochReport, entity: Entity,
         fh.write("\n")
 
 
-def read_session_log(log_path: str) -> list[dict]:
-    records = []
-    with open(log_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
+def read_session_log(log_path: str) -> list:
+    return read_json(log_path, InputError, lines=True)
 
 
 # -- environmental control rules ------------------------------------------
 
-class RuleError(ValueError):
+class RuleError(InputError):
     """Malformed environment rule file."""
 
 
@@ -193,24 +216,23 @@ class EnvironmentControlRule:
     _EFFECT_TYPES = ("add_input_probe", "remove_input_probe", "deposit_payload")
 
     @classmethod
-    def from_dict(cls, d: dict) -> "EnvironmentControlRule":
-        pre, eff = d.get("precondition"), d.get("effect")
-        if not isinstance(pre, dict) or pre.get("type") not in cls._PRE_TYPES:
-            raise RuleError(f"unknown precondition: {pre}")
-        if not isinstance(eff, dict) or eff.get("type") not in cls._EFFECT_TYPES:
-            raise RuleError(f"unknown effect: {eff}")
-        return cls(precondition=pre, effect=eff, repeating=bool(d.get("repeating", False)))
-
-    def check(self, grid: NeuralGrid) -> None:
-        """Raise RuleError unless `holds` and `apply` can run against this grid.
+    def from_dict(cls, d: dict, grid: NeuralGrid) -> "EnvironmentControlRule":
+        """The rule `d` describes; raises RuleError unless `holds` and `apply`
+        can run it against this grid.
 
         Every key they read must be present and convert as they convert it; a
         deposit needs a known kind, a finite magnitude > 0, a position inside the
         grid and properties that hold no non-finite number.
         """
-        p, e = self.precondition, self.effect
-        try:
-            if not isinstance(p[self._PRE_TYPES[p["type"]]], (int, float)):
+        if not isinstance(d, dict):
+            raise RuleError(f"a rule is a JSON object, got {d!r}")
+        p, e = d.get("precondition"), d.get("effect")
+        if not isinstance(p, dict) or p.get("type") not in cls._PRE_TYPES:
+            raise RuleError(f"unknown precondition: {p}")
+        if not isinstance(e, dict) or e.get("type") not in cls._EFFECT_TYPES:
+            raise RuleError(f"unknown effect: {e}")
+        with refused_as(RuleError, f"rule with effect {e}"):
+            if not isinstance(p[cls._PRE_TYPES[p["type"]]], (int, float)):
                 raise TypeError(f"{p['type']} threshold is not a number")
             if p["type"] == "probe_reading_at_least" and "probe_id" not in p:
                 raise KeyError("probe_id")
@@ -232,8 +254,7 @@ class EnvironmentControlRule:
                 int(spec["index"])
                 int(spec.get("ttl", 0))
                 json.dumps(dict(spec.get("properties", {})), allow_nan=False)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise RuleError(f"rule with effect {e}: {exc!r}") from exc
+        return cls(precondition=p, effect=e, repeating=bool(d.get("repeating", False)))
 
     def holds(self, entity: Entity) -> bool:
         p = self.precondition
@@ -265,12 +286,11 @@ class EnvironmentControlRule:
         return {"precondition": self.precondition, "effect": self.effect}
 
 
-def load_rules(path: str) -> list[EnvironmentControlRule]:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+def load_rules(path: str, grid: NeuralGrid) -> list[EnvironmentControlRule]:
+    data = read_json(path, RuleError)
     if not isinstance(data, list):
         raise RuleError("rules file must contain a JSON list")
-    return [EnvironmentControlRule.from_dict(d) for d in data]
+    return [EnvironmentControlRule.from_dict(d, grid) for d in data]
 
 
 def apply_environment_rules(entity: Entity,

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from eden.config import ConfigError, EngineConfig
+from eden.store import InputError, read_json
 
 
 class TestValidation:
@@ -43,7 +44,7 @@ class TestLoading:
     def test_from_file(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"dim_xy": 5, "dim_z": 6, "seed": 3}))
-        cfg = EngineConfig.from_file(str(path))
+        cfg = EngineConfig.from_dict(read_json(str(path), InputError))
         assert (cfg.dim_xy, cfg.dim_z, cfg.seed) == (5, 6, 3)
 
     def test_bad_bounds_shape(self):

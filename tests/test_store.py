@@ -119,7 +119,7 @@ class TestEnvironmentRules:
                            "payload": {"index": 0, "position": [5, 5, 5],
                                        "magnitude": 1.0}}}
         base.update(kw)
-        return store.EnvironmentControlRule.from_dict(base)
+        return store.EnvironmentControlRule.from_dict(base, make_entity().grid)
 
     def test_fires_once_when_condition_holds(self):
         entity = make_entity()
@@ -164,13 +164,11 @@ class TestEnvironmentRules:
 
     def test_unknown_rule_types_rejected(self):
         with pytest.raises(store.RuleError):
-            store.EnvironmentControlRule.from_dict(
-                {"precondition": {"type": "full_moon"},
-                 "effect": {"type": "deposit_payload", "payload": {}}})
+            self._rule(precondition={"type": "full_moon"},
+                       effect={"type": "deposit_payload", "payload": {}})
         with pytest.raises(store.RuleError):
-            store.EnvironmentControlRule.from_dict(
-                {"precondition": {"type": "epoch_at_least", "epoch": 0},
-                 "effect": {"type": "explode"}})
+            self._rule(precondition={"type": "epoch_at_least", "epoch": 0},
+                       effect={"type": "explode"})
 
     @pytest.mark.parametrize("precondition, effect", [
         ({"type": "epoch_at_least"}, None),
@@ -206,10 +204,9 @@ class TestEnvironmentRules:
     def test_check_rejects_what_would_fail_mid_run(self, precondition, effect):
         kw = {k: v for k, v in (("precondition", precondition), ("effect", effect)) if v}
         with pytest.raises(store.RuleError):
-            self._rule(**kw).check(make_entity().grid)
+            self._rule(**kw)
 
     def test_check_accepts_working_rules(self):
-        grid = make_entity().grid
         for kw in ({},
                    {"precondition": {"type": "probe_reading_at_least",
                                      "probe_id": 3, "value": 0.5}},
@@ -221,10 +218,10 @@ class TestEnvironmentRules:
                        "probe_id": 7, "position": [1, 1, 1], "frames": [[], [
                            {"offset": [0, 0.5, 0], "index": 1, "magnitude": -1.0}]]}}},
                    {"effect": {"type": "remove_input_probe", "probe_id": 7}}):
-            self._rule(**kw).check(grid)
+            self._rule(**kw)
 
     def test_load_rules_requires_list(self, tmp_path):
         path = tmp_path / "rules.json"
         path.write_text("{}")
         with pytest.raises(store.RuleError):
-            store.load_rules(str(path))
+            store.load_rules(str(path), make_entity().grid)
