@@ -3,7 +3,8 @@
 Exit codes:
   0  success
   2  invalid arguments or configuration
-  3  a named file is missing or cannot be read
+  3  a named file is missing or cannot be read, or a train --log cannot be
+     appended to (opened, and created if absent, before the first epoch)
   4  schema or format-version violation
   5  runtime failure
   1  replay divergence
@@ -28,15 +29,13 @@ EXIT_SCHEMA = 4
 EXIT_RUNTIME = 5
 
 
-class PatternError(store.InputError):
-    """Malformed pattern file."""
-
-
 def _attach_pattern(entity, pattern_path: str) -> None:
-    data = store.read_json(pattern_path, PatternError)
+    data = store.read_json(pattern_path, store.InputError)
     if isinstance(data, list):
         data = {"input_probes": data}
-    with store.refused_as(PatternError, f"pattern file {pattern_path}"):
+    if not isinstance(data, dict):
+        raise store.InputError(f"pattern file {pattern_path} must contain a JSON list or object")
+    with store.refused_as(store.InputError, f"pattern file {pattern_path}"):
         entity.input_probes = [input_probe_from_spec(spec)
                                for spec in data.get("input_probes", [])]
         entity.output_probes = [decode(OutputProbe, {"history": [], **spec})
@@ -129,6 +128,10 @@ def cmd_inspect(args) -> int:
 
 
 def _metrics_row(rec: dict) -> list:
+    if not (isinstance(rec, dict) and isinstance(rec.get("stability"), dict)
+            and isinstance(rec.get("spikes"), dict)):
+        raise store.InputError(f"session record is not an object with stability and "
+                               f"spikes objects: {str(rec)[:80]}")
     stab = list(rec["stability"].values())
     spikes = sum(len(v) for v in rec["spikes"].values())
     return [rec["epoch"], len(rec["nodes"]), spikes,

@@ -76,6 +76,13 @@ def _sequence(origin, dec, length, value):
     return origin([dec(x) for x in value])
 
 
+def _int_keyed(value) -> dict:
+    """A JSON object's string keys converted back to ints."""
+    if not isinstance(value, dict):
+        raise TypeError(f"{value!r} is not a JSON object")
+    return {int(k): x for k, x in value.items()}
+
+
 @functools.cache
 def _converters(tp) -> tuple:
     """The (encode, decode) pair for one field annotation."""
@@ -105,6 +112,5 @@ def _converters(tp) -> tuple:
         length = None if origin is list or args[-1] is Ellipsis else len(args)
         return (lambda v: [enc(x) for x in v]), functools.partial(_sequence, origin, dec, length)
     if origin is dict and args == (int, str):  # JSON object keys are strings
-        return (lambda v: {str(k): x for k, x in v.items()},
-                lambda v: {int(k): x for k, x in v.items()})
+        return (lambda v: {str(k): x for k, x in v.items()}, _int_keyed)
     raise TypeError(f"no save-state converter for {tp!r}")

@@ -66,12 +66,12 @@ def read_json(path: str, error: type[InputError], lines: bool = False):
 @contextmanager
 def refused_as(error: type[InputError], what: str):
     """Raise `error` for what building `what` from parsed JSON raises: a key
-    that is missing, or a value of the wrong type or out of range."""
+    or index that is missing, or a value of the wrong type or out of range."""
     try:
         yield
     except InputError:
         raise
-    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (LookupError, TypeError, ValueError, OverflowError) as exc:
         raise error(f"invalid {what}: {exc!r}") from exc
 
 
@@ -227,11 +227,11 @@ class EnvironmentControlRule:
         if not isinstance(d, dict):
             raise RuleError(f"a rule is a JSON object, got {d!r}")
         p, e = d.get("precondition"), d.get("effect")
-        if not isinstance(p, dict) or p.get("type") not in cls._PRE_TYPES:
-            raise RuleError(f"unknown precondition: {p}")
-        if not isinstance(e, dict) or e.get("type") not in cls._EFFECT_TYPES:
-            raise RuleError(f"unknown effect: {e}")
         with refused_as(RuleError, f"rule with effect {e}"):
+            if not isinstance(p, dict) or p.get("type") not in cls._PRE_TYPES:
+                raise RuleError(f"unknown precondition: {p}")
+            if not isinstance(e, dict) or e.get("type") not in cls._EFFECT_TYPES:
+                raise RuleError(f"unknown effect: {e}")
             if not isinstance(p[cls._PRE_TYPES[p["type"]]], (int, float)):
                 raise TypeError(f"{p['type']} threshold is not a number")
             if p["type"] == "probe_reading_at_least" and "probe_id" not in p:

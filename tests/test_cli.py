@@ -210,6 +210,14 @@ class TestTrainRejectsBadInputBeforeEpochZero:
         assert open(state_path, "rb").read() == before
         assert not log.exists()
 
+    @pytest.mark.parametrize("rng_state", [[3], "x"], ids=["list-1-item", "string"])
+    def test_short_rng_state(self, tmp_path, state_path, rng_state):
+        doc = json.load(open(state_path))
+        doc["rng_state"] = rng_state
+        with open(state_path, "w") as fh:
+            json.dump(doc, fh)
+        self._train(tmp_path, state_path)
+
     def test_deposit_rule_without_index(self, tmp_path, state_path):
         rules = tmp_path / "rules.json"
         rules.write_text(json.dumps([{

@@ -176,6 +176,7 @@ class TestEnvironmentRules:
         ({"type": "node_count_at_least"}, None),
         ({"type": "probe_reading_at_least", "value": 0.5}, None),
         ({"type": "probe_reading_at_least", "probe_id": 0}, None),
+        ({"type": ["epoch_at_least"], "epoch": 2}, None),  # not hashable
         (None, {"type": "add_input_probe"}),
         (None, {"type": "add_input_probe", "probe": {"probe_id": 1, "frames": []}}),
         (None, {"type": "add_input_probe", "probe": {
