@@ -176,7 +176,6 @@ class TestEnvironmentRules:
         ({"type": "node_count_at_least"}, None),
         ({"type": "probe_reading_at_least", "value": 0.5}, None),
         ({"type": "probe_reading_at_least", "probe_id": 0}, None),
-        ({"type": ["epoch_at_least"], "epoch": 2}, None),  # not hashable
         (None, {"type": "add_input_probe"}),
         (None, {"type": "add_input_probe", "probe": {"probe_id": 1, "frames": []}}),
         (None, {"type": "add_input_probe", "probe": {
@@ -201,6 +200,7 @@ class TestEnvironmentRules:
         (None, {"type": "deposit_payload", "payload": {
             "index": 0, "position": [5, 5, 5], "magnitude": 1.0,
             "properties": {"excitatory": 1, "weight": [float("nan")]}}}),
+        ({"type": ["epoch_at_least"], "epoch": 2}, None),  # not hashable
     ])
     def test_check_rejects_what_would_fail_mid_run(self, precondition, effect):
         kw = {k: v for k, v in (("precondition", precondition), ("effect", effect)) if v}
