@@ -214,11 +214,21 @@ class PwrTensor:
     @classmethod
     def random(cls, dim_xy: int, dim_z: int, rng) -> "PwrTensor":
         """Fresh tensor: no energy, uniform random weights and routers, drawn
-        per cell (weight, then router) in x, y, z order."""
+        per cell (weight, then router) in x, y, z order.
+
+        A router is ``randrange(9)`` as CPython draws it: 4 random bits,
+        drawn again while they are 9 or more.
+        """
+        options = len(ROUTER_OPTIONS)
+        bits = options.bit_length()
+        random_, getrandbits = rng.random, rng.getrandbits
         ws, rs = [], []
         for _ in range(dim_xy * dim_xy * dim_z):
-            ws.append(rng.random())
-            rs.append(rng.randrange(len(ROUTER_OPTIONS)))
+            ws.append(random_())
+            r = getrandbits(bits)
+            while r >= options:
+                r = getrandbits(bits)
+            rs.append(r)
         shape = (dim_xy, dim_xy, dim_z)
         return cls(dim_xy, dim_z, w=np.array(ws).reshape(shape),
                    r=np.array(rs, dtype=np.int8).reshape(shape))

@@ -3,8 +3,9 @@
 Exit codes:
   0  success
   2  invalid arguments or configuration
-  3  a named file is missing or cannot be read, or a train --log cannot be
-     appended to (opened, and created if absent, before the first epoch)
+  3  a named file is missing or cannot be read, a train --log cannot be
+     appended to (opened, and created if absent, before the first epoch), or
+     an init --out is a directory
   4  schema or format-version violation
   5  runtime failure
   1  replay divergence
@@ -13,6 +14,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
+import os
 import random
 import sys
 
@@ -43,6 +46,9 @@ def _attach_pattern(entity, pattern_path: str) -> None:
 
 
 def cmd_init(args) -> int:
+    if os.path.isdir(args.out):  # refused now, not after the entity is seeded
+        raise store.InputError(f"cannot write save state {args.out}: it is a directory") \
+            from IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
     config = EngineConfig.from_dict(store.read_json(args.config, store.InputError))
     if args.seed_override is not None:
         config.seed = args.seed_override
@@ -128,10 +134,11 @@ def cmd_inspect(args) -> int:
 
 
 def _metrics_row(rec: dict) -> list:
-    if not (isinstance(rec, dict) and isinstance(rec.get("stability"), dict)
-            and isinstance(rec.get("spikes"), dict)):
-        raise store.InputError(f"session record is not an object with stability and "
-                               f"spikes objects: {str(rec)[:80]}")
+    if not (isinstance(rec, dict) and type(rec.get("epoch")) is int
+            and all(isinstance(rec.get(k), dict) for k in ("nodes", "spikes", "stability"))
+            and all(isinstance(rec.get(k), list) for k in ("pruned", "born"))):
+        raise store.InputError(f"session record needs an integer epoch, nodes, spikes and "
+                               f"stability objects and pruned and born lists: {str(rec)[:80]}")
     stab = list(rec["stability"].values())
     spikes = sum(len(v) for v in rec["spikes"].values())
     return [rec["epoch"], len(rec["nodes"]), spikes,

@@ -258,9 +258,9 @@ class StructuralChange:
 
 
 def _unit_offset(rng, radius: float) -> tuple[float, float, float]:
-    v = [rng.gauss(0.0, 1.0) for _ in range(3)]
-    norm = math.sqrt(sum(c * c for c in v)) or 1.0
-    return tuple(radius * c / norm for c in v)
+    v0, v1, v2 = (rng.gauss(0.0, 1.0) for _ in range(3))
+    norm = math.sqrt(v0 * v0 + v1 * v1 + v2 * v2) or 1.0
+    return radius * v0 / norm, radius * v1 / norm, radius * v2 / norm
 
 
 def execute_action(gene: ActionGene, node, entity, rng) -> StructuralChange:

@@ -4,17 +4,19 @@ Continuous coordinates; the pid-keyed payload dict is the single source of
 truth, and the save state and tracing read it. Deposits and removals are
 staged and applied at an explicit commit barrier, so every query between two
 commits sees the same frozen state. Payloads change only in `commit` and
-`decay_and_expire`, and both end in `_rebuild_index`, which derives what the
-queries read from that frozen state in one pid-order pass: uniform-cell
-buckets of positions, the same buckets per `(index, cell)` holding
-transmitters only, and per-index lists of (position, magnitude). A dendrite
-collects through `query_radius` restricted to the transmitter indices it
-accepts, so it reads only the buckets of those indices; an unrestricted query
-reads every payload kind. Callers that need one neighbourhood several times
-between commits read it once and pass the list on.
+`decay_and_expire`; both drop what the queries derived from them, and the
+first query after a change derives its own structure again: uniform-cell
+buckets of (pid, position) nested `cx -> cy -> cz`, the same buckets per
+transmitter index holding transmitters only, or per-index lists of (position,
+magnitude) in pid order. Each structure is built at most once between two
+changes, and only if a query reads it. A dendrite collects through `query_radius` restricted to the transmitter
+indices it accepts, so it reads only the buckets of those indices; an
+unrestricted query reads every payload kind. Callers that need one
+neighbourhood several times between commits read it once and pass the list
+on.
 
 A radius query computes its cell range inline, `floor((c - r) / cell_size)`
-to `floor((c + r) / cell_size)` per axis, the same floor the rebuild uses to
+to `floor((c + r) / cell_size)` per axis, the same floor `_buckets` uses to
 bucket a position. Queries keep the arithmetic of the plain definitions bit
 for bit: `math.exp` and sequential pid-order accumulation in the gradient,
 `(a - c) ** 2` in the radius distance. Trajectories are compared by digest, so
@@ -23,6 +25,7 @@ one ulp of drift in either query changes a run.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from operator import le
 from typing import Iterable, Optional
@@ -67,12 +70,10 @@ class NeuralGrid:
         default_factory=dict, metadata={"codec": (_encode_payloads, _decode_payloads)})
     _pending_deposits: list[TransArchPayload] = field(default_factory=list, init=False)
     _pending_removals: list[int] = field(default_factory=list, init=False)
-    # derived from `payloads` by _rebuild_index
-    _cells: dict[tuple[int, int, int], list[tuple[int, tuple]]] = field(
-        default_factory=dict, init=False)
-    _transmitter_cells: dict[tuple[int, int, int, int], list[tuple[int, tuple]]] = field(
-        default_factory=dict, init=False)
-    _by_index: dict[int, list[tuple[tuple, float]]] = field(default_factory=dict, init=False)
+    # derived from `payloads` on the first query after a change; None until then
+    _cells: Optional[dict] = field(default=None, init=False)
+    _transmitter_cells: Optional[dict] = field(default=None, init=False)
+    _by_index: Optional[dict] = field(default=None, init=False)
     # per-epoch counters, read and reset by the epoch runner
     deposited_count: int = field(default=0, init=False)
     consumed_count: int = field(default=0, init=False)
@@ -82,7 +83,6 @@ class NeuralGrid:
         self.bounds_min = tuple(float(c) for c in self.bounds_min)
         self.bounds_max = tuple(float(c) for c in self.bounds_max)
         self.cell_size = float(self.cell_size)
-        self._rebuild_index()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -121,7 +121,7 @@ class NeuralGrid:
             self.payloads[pl.pid] = pl
             self.deposited_count += 1
         self._pending_deposits.clear()
-        self._rebuild_index()
+        self._drop_index()
 
     def reset_epoch_counters(self) -> tuple[int, int, int]:
         counts = (self.deposited_count, self.consumed_count, self.expired_count)
@@ -130,30 +130,20 @@ class NeuralGrid:
 
     # -- spatial queries ---------------------------------------------------
 
-    def _rebuild_index(self) -> None:
-        """Derive the query structures from the committed payloads, in pid order.
+    def _drop_index(self) -> None:
+        """Forget what the queries derived from `payloads`; called after every
+        change to it."""
+        self._cells = self._transmitter_cells = self._by_index = None
 
-        Called after every change to `payloads`: cell buckets of (pid,
-        position) for unfiltered `query_radius`, the same buckets split by
-        `(index, cell)` and holding transmitters only for the filtered one, and
-        per-index (position, magnitude) lists for the gradient. A position's
-        cell is `floor(c / cell_size)` per axis.
-        """
+    def _buckets(self, payloads) -> dict:
+        """``cx -> cy -> cz -> [(pid, position)]`` of ``payloads``: a position's
+        cell is ``floor(c / cell_size)`` per axis."""
         floor, cs = math.floor, self.cell_size
-        cells, transmitter_cells, by_index = {}, {}, {}
-        payloads = self.payloads
-        for pid in sorted(payloads):
-            pl = payloads[pid]
+        slabs = defaultdict(lambda: defaultdict(lambda: defaultdict(list)))
+        for pl in payloads:
             pos = x, y, z = pl.position
-            cell = (floor(x / cs), floor(y / cs), floor(z / cs))
-            entry = (pid, pos)
-            cells.setdefault(cell, []).append(entry)
-            if pl.kind == TRANSMITTER:
-                transmitter_cells.setdefault((pl.index, *cell), []).append(entry)
-            by_index.setdefault(pl.index, []).append((pos, pl.magnitude))
-        self._cells = cells
-        self._transmitter_cells = transmitter_cells
-        self._by_index = by_index
+            slabs[floor(x / cs)][floor(y / cs)][floor(z / cs)].append((pl.pid, pos))
+        return slabs
 
     def query_radius(self, center, r: float, transmitter_indices: Optional[Iterable[int]] = None
                      ) -> list[TransArchPayload]:
@@ -165,24 +155,40 @@ class NeuralGrid:
         """
         if r < 0:
             raise GridError(f"radius must be >= 0, got {r}")
+        if transmitter_indices is None:
+            if self._cells is None:
+                self._cells = self._buckets(self.payloads.values())
+            roots = (self._cells,)
+        else:
+            if self._transmitter_cells is None:
+                transmitters = defaultdict(list)
+                for pl in self.payloads.values():
+                    if pl.kind == TRANSMITTER:
+                        transmitters[pl.index].append(pl)
+                self._transmitter_cells = {i: self._buckets(pls)
+                                           for i, pls in transmitters.items()}
+            tcells = self._transmitter_cells
+            roots = [tcells[i] for i in transmitter_indices if i in tcells]
         floor, sqrt, cs = math.floor, math.sqrt, self.cell_size
         c0, c1, c2 = center
         xs = range(floor((c0 - r) / cs), floor((c0 + r) / cs) + 1)
         ys = range(floor((c1 - r) / cs), floor((c1 + r) / cs) + 1)
         zs = range(floor((c2 - r) / cs), floor((c2 + r) / cs) + 1)
-        if transmitter_indices is None:
-            get = self._cells.get
-            keys = [(cx, cy, cz) for cx in xs for cy in ys for cz in zs]
-        else:
-            get = self._transmitter_cells.get
-            keys = [(i, cx, cy, cz) for i in transmitter_indices
-                    for cx in xs for cy in ys for cz in zs]
         found: list[tuple[float, int]] = []
-        for key in keys:
-            for pid, (x, y, z) in get(key, ()):
-                d = sqrt((x - c0) ** 2 + (y - c1) ** 2 + (z - c2) ** 2)
-                if d <= r:
-                    found.append((d, pid))
+        for slabs in roots:
+            for cx in xs:
+                x_slab = slabs.get(cx)
+                if x_slab is None:
+                    continue
+                for cy in ys:
+                    y_slab = x_slab.get(cy)
+                    if y_slab is None:
+                        continue
+                    for cz in zs:
+                        for pid, (x, y, z) in y_slab.get(cz, ()):
+                            d = sqrt((x - c0) ** 2 + (y - c1) ** 2 + (z - c2) ** 2)
+                            if d <= r:
+                                found.append((d, pid))
         if not found:
             return []
         found.sort()
@@ -194,10 +200,17 @@ class NeuralGrid:
 
         Field: sum_p magnitude_p * exp(-|pos - p|^2 / (2 sigma^2)).
         """
+        by_index = self._by_index
+        if by_index is None:  # each index's (position, magnitude) in pid order
+            by_index = self._by_index = defaultdict(list)
+            payloads = self.payloads
+            for pid in sorted(payloads):
+                pl = payloads[pid]
+                by_index[pl.index].append((pl.position, pl.magnitude))
         gx = gy = gz = 0.0
         inv_s2 = 1.0 / (sigma * sigma)
         p0, p1, p2 = pos
-        for (x, y, z), mag in self._by_index.get(index, ()):
+        for (x, y, z), mag in by_index.get(index, ()):
             d0, d1, d2 = x - p0, y - p1, z - p2
             k = mag * math.exp(-0.5 * (d0 * d0 + d1 * d1 + d2 * d2) * inv_s2)
             gx += k * d0 * inv_s2
@@ -221,5 +234,5 @@ class NeuralGrid:
         for pid in dead:
             del self.payloads[pid]
         self.expired_count += len(dead)
-        self._rebuild_index()
+        self._drop_index()
         return len(dead)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -123,11 +123,18 @@ def save(entity: Entity, path: str) -> None:
         "rng_state": rng_state_to_json(entity.rng),
         "entity": entity_to_dict(entity),
     }
+    text = dumps_canonical(doc)
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(doc))
-        fh.write("\n")
-    os.replace(tmp, path)
+    fh = open(tmp, "w", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:  # a failed write or replace leaves no partial file behind
+        with suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def load(path: str) -> Entity:

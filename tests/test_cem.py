@@ -178,6 +178,21 @@ class TestConstruction:
             assert t.w[x, y, z] == rng.random()
             assert t.r[x, y, z] == rng.randrange(9)
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64 - 1), dim_xy=st.integers(1, 6), dim_z=st.integers(1, 6))
+    def test_random_is_exactly_the_randrange_loop(self, seed, dim_xy, dim_z):
+        # the loop it replaced: a router per cell is randrange(9)
+        oracle = random.Random(seed)
+        ws, rs = [], []
+        for _ in range(dim_xy * dim_xy * dim_z):
+            ws.append(oracle.random())
+            rs.append(oracle.randrange(len(ROUTER_OPTIONS)))
+        rng = random.Random(seed)
+        t = PwrTensor.random(dim_xy, dim_z, rng)
+        assert t.w.ravel().tolist() == ws
+        assert t.r.ravel().tolist() == rs
+        assert rng.getstate() == oracle.getstate()
+
     def test_lattices_are_c_contiguous(self):
         w = np.asfortranarray(np.arange(36.0).reshape(3, 3, 4) / 36.0)
         t = PwrTensor(3, 4, p=np.zeros((3, 3, 4), order="F"), w=w,

@@ -77,6 +77,14 @@ class TestInit:
         assert main(["init", "--config", str(bad),
                      "--out", str(tmp_path / "o.json")]) == EXIT_SCHEMA
 
+    def test_out_is_a_directory(self, tmp_path, config_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["init", "--config", config_path, "--out", str(out)]) == EXIT_MISSING
+        assert "directory" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "out"]
+        assert list(out.iterdir()) == []
+
     def test_seed_override(self, tmp_path, config_path):
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         main(["init", "--config", config_path, "--out", a, "--seed-override", "7"])
@@ -448,7 +456,10 @@ class TestExportMetrics:
 
     @pytest.mark.parametrize("key, value", [
         ("stability", None), ("stability", [1.0]), ("spikes", {"0": 3}),
-    ], ids=["no-stability", "stability-list", "spikes-count"])
+        ("epoch", "x"), ("epoch", []), ("epoch", True), ("nodes", "x"), ("pruned", "x"),
+        ("born", "x"),
+    ], ids=["no-stability", "stability-list", "spikes-count", "epoch-string", "epoch-list",
+            "epoch-bool", "nodes-string", "pruned-string", "born-string"])
     def test_unusable_record_writes_no_csv(self, tmp_path, state_path, key, value):
         log = tmp_path / "run.session.jsonl"
         main(["train", "--state", state_path, "--epochs", "3", "--log", str(log)])

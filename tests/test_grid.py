@@ -1,6 +1,8 @@
 """Tests for the neural grid: commit semantics, queries, gradients, decay."""
 import math
 import random
+from functools import reduce
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,13 +19,14 @@ def make_grid(cell_size=2.0):
 
 # Reference implementations: the plain scalar loops over every committed
 # payload that the per-commit index replaced. The grid must match them
-# exactly, because trajectories are compared by digest.
+# exactly, because trajectories are compared by digest. They add floats left
+# to right with `reduce`, as the builtin `sum` did before Python 3.12.
 
 def reference_query_radius(grid, center, r):
     found = []
     for pid in sorted(grid.payloads):
         pl = grid.payloads[pid]
-        d = math.sqrt(sum((ai - bi) ** 2 for ai, bi in zip(pl.position, center)))
+        d = math.sqrt(reduce(add, ((ai - bi) ** 2 for ai, bi in zip(pl.position, center)), 0))
         if d <= r:
             found.append((d, pid))
     found.sort()
@@ -44,7 +47,7 @@ def reference_density_gradient(grid, pos, index, sigma=1.0):
         if pl.index != index:
             continue
         delta = [pc - c for pc, c in zip(pl.position, pos)]
-        d2 = sum(x * x for x in delta)
+        d2 = reduce(add, (x * x for x in delta), 0)
         k = pl.magnitude * math.exp(-0.5 * d2 * inv_s2)
         for i in range(3):
             grad[i] += k * delta[i] * inv_s2

@@ -8,9 +8,12 @@ node spikes and backpropagates every epoch) and `resume` seed 0 (one cycle of
 digests them as `perfbench/run.py` does, so a one-ulp drift in the grid
 queries, the CEM, the store or anything else on the epoch path fails here.
 `grow` and `deep` are also replayed in a child process with numpy's AVX-512
-kernels disabled, so a trajectory cannot depend on the host's SIMD dispatch.
+kernels disabled, so a trajectory cannot depend on the host's SIMD dispatch,
+and with a builtin `sum` that refuses floats, so it cannot depend on the
+Python version's float `sum`.
 Only reads `perfbench/`; re-record the reference there for an intended change.
 """
+import builtins
 import hashlib
 import importlib.util
 import json
@@ -80,6 +83,27 @@ def test_resume_seed_0_matches_reference_digest(tmp_path):
     reference = recorded("resume", 0)
     assert joined_digest([log_digest]) == reference["trajectory_digest"]
     assert os.path.getsize(inputs.state) == reference["state_bytes"]
+
+
+def sum_without_floats(iterable, start=0, *, _sum=builtins.sum):
+    """``sum`` that refuses float terms. Python 3.12 made the builtin's float
+    sum compensated, so a float sum on the epoch path would make a trajectory
+    depend on the Python version."""
+    items = list(iterable)
+    if any(isinstance(v, float) for v in [start, *items]):
+        raise AssertionError(f"builtin sum() of floats: {items[:4]}")
+    return _sum(items, start)
+
+
+def test_grow_and_deep_digests_add_no_float_with_the_builtin_sum(monkeypatch):
+    workloads = load_workloads()
+    monkeypatch.setattr(builtins, "sum", sum_without_floats)
+    grow = trajectory_digest((workloads.build_grow(0, variant) for variant in range(4)),
+                             workloads.GROW_EPISODE_EPOCHS)
+    deep = trajectory_digest([workloads.build_deep(0)], workloads.DEEP_EPISODE_EPOCHS)
+    monkeypatch.undo()
+    assert grow == recorded("grow", 0)["trajectory_digest"]
+    assert deep == recorded("deep", 0)["trajectory_digest"]
 
 
 # Replays grow and deep seed 0 in a child process whose numpy runs without its

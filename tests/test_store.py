@@ -1,5 +1,7 @@
 """Tests for save states, lock mode, session logs and environment rules."""
+import errno
 import json
+import os
 
 import pytest
 
@@ -22,6 +24,34 @@ class TestSaveLoad:
         first = open(path, "rb").read()
         store.save(store.load(path), path)
         assert open(path, "rb").read() == first
+
+    def test_failed_replace_leaves_no_temporary_file(self, tmp_path):
+        target = tmp_path / "taken"
+        target.mkdir()
+        with pytest.raises(OSError):
+            store.save(make_entity(), str(target))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        class FullDisk:
+            """The file `open` made, on a disk with no room left."""
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, _text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *_exc):
+                self.fh.close()
+
+        monkeypatch.setattr(store, "open", lambda *args, **kw: FullDisk(open(*args, **kw)),
+                            raising=False)
+        with pytest.raises(OSError):
+            store.save(make_entity(), str(tmp_path / "e.eden.json"))
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(store.SaveStateError, match="not found"):
