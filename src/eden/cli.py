@@ -5,7 +5,7 @@ Exit codes:
   2  invalid arguments or configuration
   3  a named file is missing or cannot be read, a train --log cannot be
      appended to (opened, and created if absent, before the first epoch), or
-     an init --out is a directory
+     an init --out cannot be written (a directory, or in a missing directory)
   4  schema or format-version violation
   5  runtime failure
   1  replay divergence
@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import errno
-import os
 import random
 import sys
 
@@ -46,9 +44,7 @@ def _attach_pattern(entity, pattern_path: str) -> None:
 
 
 def cmd_init(args) -> int:
-    if os.path.isdir(args.out):  # refused now, not after the entity is seeded
-        raise store.InputError(f"cannot write save state {args.out}: it is a directory") \
-            from IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
+    store.check_writable(args.out)  # refused now, not after the entity is seeded
     config = EngineConfig.from_dict(store.read_json(args.config, store.InputError))
     if args.seed_override is not None:
         config.seed = args.seed_override

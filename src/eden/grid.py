@@ -55,8 +55,19 @@ def _encode_payloads(payloads: dict) -> list:
     return [encode(payloads[pid]) for pid in sorted(payloads)]
 
 
+def check_properties(properties: dict) -> dict:
+    """``properties``, refused unless an ``excitatory`` in them is a number:
+    dendrites compare it with 0 to sign what they collect."""
+    if type(properties.get("excitatory", 1)) not in (int, float):
+        raise GridError(f"payload excitatory {properties['excitatory']!r} is not a number")
+    return properties
+
+
 def _decode_payloads(items: list) -> dict:
-    return {pl.pid: pl for pl in (decode(TransArchPayload, d) for d in items)}
+    payloads = [decode(TransArchPayload, d) for d in items]
+    for pl in payloads:
+        check_properties(pl.properties)
+    return {pl.pid: pl for pl in payloads}
 
 
 @dataclass(eq=False)

@@ -199,7 +199,7 @@ class ProcessNode:
                                         dendrite.accepted_transmitter_indices):
                 if pl.pid in claimed:
                     continue
-                sign = 1.0 if float(pl.properties.get("excitatory", 1)) >= 0 else -1.0
+                sign = 1.0 if pl.properties.get("excitatory", 1) >= 0 else -1.0
                 mag = pl.magnitude * dendrite.gain * sign
                 deposits.append((x, y, mag))
                 claimed.add(pl.pid)

@@ -10,6 +10,7 @@ Every input file is read by `read_json`, and each refusal is an `InputError`.
 """
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
@@ -20,7 +21,7 @@ from typing import Optional
 from .codec import decode, encode
 from .config import EngineConfig
 from .functome import Functome
-from .grid import ARCHITECTOR, TRANSMITTER, NeuralGrid
+from .grid import ARCHITECTOR, TRANSMITTER, NeuralGrid, check_properties
 from .node import ProcessNode
 from .runner import (Entity, EpochReport, InputProbe, OutputProbe, input_probe_from_spec,
                      rng_state_from_json, rng_state_to_json)
@@ -114,6 +115,19 @@ def entity_from_dict(data: dict) -> Entity:
 
 def dumps_canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def check_writable(path: str) -> None:
+    """Refuse, before any work is done, a save-state `path` that `save` could
+    not write: a directory, which `os.replace` refuses, or a path whose
+    temporary file cannot be created. Leaves no file behind."""
+    try:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        open(path + ".tmp", "w").close()
+        os.remove(path + ".tmp")
+    except OSError as exc:
+        raise InputError(f"cannot write save state {path}: {exc.strerror}") from exc
 
 
 def save(entity: Entity, path: str) -> None:
@@ -229,7 +243,8 @@ class EnvironmentControlRule:
 
         Every key they read must be present and convert as they convert it; a
         deposit needs a known kind, a finite magnitude > 0, a position inside the
-        grid and properties that hold no non-finite number.
+        grid and properties that hold no non-finite number and whose
+        `excitatory`, if any, is a number.
         """
         if not isinstance(d, dict):
             raise RuleError(f"a rule is a JSON object, got {d!r}")
@@ -260,7 +275,7 @@ class EnvironmentControlRule:
                     raise ValueError(f"magnitude {spec['magnitude']} is not finite and > 0")
                 int(spec["index"])
                 int(spec.get("ttl", 0))
-                json.dumps(dict(spec.get("properties", {})), allow_nan=False)
+                json.dumps(check_properties(dict(spec.get("properties", {}))), allow_nan=False)
         return cls(precondition=p, effect=e, repeating=bool(d.get("repeating", False)))
 
     def holds(self, entity: Entity) -> bool:
