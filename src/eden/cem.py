@@ -36,8 +36,7 @@ pass that left no energized cell counts as cleared. Backprop reads energy from
 the record; weights change only after every gradient is known.
 
 Numpy reductions on the trajectory path: none. Plane and lattice sums are
-``plane_sum`` and backprop adds per cell; the loss ``backprop_to_goal``
-returns is a numpy sum, but nothing on the trajectory reads it.
+``plane_sum`` and backprop adds per cell.
 """
 from __future__ import annotations
 
@@ -343,8 +342,8 @@ class PwrTensor:
     # -- backprop ----------------------------------------------------------
 
     def goal_loss_gradients(self, goal: GoalPlane, dr: float = 0.0
-                            ) -> tuple[float, dict[tuple[int, int, int], float]]:
-        """Squared-error loss at the goal plane and d(loss)/dw per visited cell.
+                            ) -> dict[tuple[int, int, int], float]:
+        """d(loss)/dw per visited cell, for the squared-error loss at the goal plane.
 
         The single error is evaluated at the goal plane; gradients flow back
         only along each cell's routed-predecessor chain recorded in
@@ -356,9 +355,7 @@ class PwrTensor:
         zs, trace = goal.z_index, self.last_trace
         if trace is None or not (0 <= zs < dim_z) or zs > len(trace.hops_by_plane):
             raise StructureError(f"goal plane {zs} not covered by a recorded pass")
-        diff = self.plane(zs) - goal.target_p
-        loss = 0.5 * float((diff * diff).sum())
-        grad_p = diff.ravel()  # d loss / d p at the current plane, by flat index
+        grad_p = (self.plane(zs) - goal.target_p).ravel()  # d loss / d p, by flat index
         grad_w: dict[tuple[int, int, int], float] = {}
         w = self.w.data.cast("B").cast("d")
         for z in range(zs - 1, -1, -1):
@@ -375,12 +372,10 @@ class PwrTensor:
                 grad_w[(*divmod(k, n), z)] = g * ds * pv
                 grad_prev[k] += g * ds * wv
             grad_p = grad_prev
-        return loss, grad_w
+        return grad_w
 
     def backprop_to_goal(self, goal: GoalPlane, learning_rate: float,
-                         dr: float = 0.0) -> float:
-        """One SGD step of the visited weights toward the goal plane; returns loss."""
-        loss, grad_w = self.goal_loss_gradients(goal, dr)
-        for (x, y, z), g in grad_w.items():
+                         dr: float = 0.0) -> None:
+        """One SGD step of the visited weights toward the goal plane."""
+        for (x, y, z), g in self.goal_loss_gradients(goal, dr).items():
             self.w[x, y, z] = min(1.0, max(0.0, self.w[x, y, z] - learning_rate * g))
-        return loss

@@ -5,7 +5,8 @@ Exit codes:
   2  invalid arguments or configuration
   3  a named file is missing or cannot be read, a train --log cannot be
      appended to (opened, and created if absent, before the first epoch), or
-     an init --out cannot be written (a directory, or in a missing directory)
+     an init --out or the --state of train, lock or unlock cannot be written
+     (a directory, or in a missing directory; checked before any work)
   4  schema or format-version violation
   5  runtime failure
   1  replay divergence
@@ -55,20 +56,22 @@ def cmd_init(args) -> int:
     return EXIT_OK
 
 
-def run_training(entity, epochs: int, log_path=None, rules=None):
-    """Shared epoch loop: env rules before Propagate, one log record per epoch."""
-    reports = []
+def run_training(entity, epochs: int, log_path=None, rules=None) -> int:
+    """Shared epoch loop: env rules before Propagate, one log record per epoch;
+    returns the number of spikes."""
+    spikes = 0
     for _ in range(epochs):
         events = store.apply_environment_rules(entity, rules) if rules else []
         report = run_epoch(entity)
-        reports.append(report)
+        spikes += sum(map(len, report.spikes.values()))
         if log_path:
             store.append_session_record(log_path, report, entity, events)
-    return reports
+    return spikes
 
 
 def cmd_train(args) -> int:
     entity = store.load(args.state)
+    store.check_writable(args.state)  # refused now, not after the epochs have run
     if args.epochs == 0:
         print("0 epochs requested; state untouched")
         return EXIT_OK
@@ -83,9 +86,8 @@ def cmd_train(args) -> int:
         except OSError as exc:
             raise store.InputError(f"cannot append to session log {args.log}: "
                                    f"{exc.strerror}") from exc
-    reports = run_training(entity, args.epochs, args.log, rules)
+    total_spikes = run_training(entity, args.epochs, args.log, rules)
     store.save(entity, args.state)
-    total_spikes = sum(len(evs) for r in reports for evs in r.spikes.values())
     print(f"trained {args.epochs} epochs: {len(entity.nodes)} nodes, "
           f"{total_spikes} spikes, clock={entity.entity_clock}")
     return EXIT_OK
@@ -93,6 +95,7 @@ def cmd_train(args) -> int:
 
 def cmd_lock(args) -> int:
     entity = store.load(args.state)
+    store.check_writable(args.state)
     store.lock(entity)
     store.save(entity, args.state)
     print(f"locked {args.state}")
@@ -101,6 +104,7 @@ def cmd_lock(args) -> int:
 
 def cmd_unlock(args) -> int:
     entity = store.load(args.state)
+    store.check_writable(args.state)
     store.unlock(entity)
     store.save(entity, args.state)
     print(f"unlocked {args.state}")

@@ -76,11 +76,11 @@ def _sequence(origin, dec, length, value):
     return origin([dec(x) for x in value])
 
 
-def _int_keyed(value) -> dict:
-    """A JSON object's string keys converted back to ints."""
+def _int_keyed(dec, value) -> dict:
+    """A JSON object's string keys converted back to ints, each value by ``dec``."""
     if not isinstance(value, dict):
         raise TypeError(f"{value!r} is not a JSON object")
-    return {int(k): x for k, x in value.items()}
+    return {int(k): dec(x) for k, x in value.items()}
 
 
 @functools.cache
@@ -111,6 +111,8 @@ def _converters(tp) -> tuple:
         enc, dec = _converters(args[0])
         length = None if origin is list or args[-1] is Ellipsis else len(args)
         return (lambda v: [enc(x) for x in v]), functools.partial(_sequence, origin, dec, length)
-    if origin is dict and args == (int, str):  # JSON object keys are strings
-        return (lambda v: {str(k): x for k, x in v.items()}, _int_keyed)
+    if origin is dict and args[0] is int:  # JSON object keys are strings
+        enc, dec = _converters(args[1])
+        return ((lambda v: {str(k): enc(x) for k, x in v.items()}),
+                functools.partial(_int_keyed, dec))
     raise TypeError(f"no save-state converter for {tp!r}")

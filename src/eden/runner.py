@@ -88,34 +88,21 @@ class OutputProbe:
 
 @dataclass
 class EpochReport:
+    """What one epoch did, keyed by node or probe id; encoded by ``eden.codec``."""
     epoch: int
-    spikes: dict = field(default_factory=dict)          # node_id -> [spike dicts]
-    stability: dict = field(default_factory=dict)       # node_id -> float
-    pruned: list = field(default_factory=list)
-    born: list = field(default_factory=list)
-    payloads_deposited: int = 0
-    payloads_consumed: int = 0
-    payloads_expired: int = 0
-    state_classification: dict = field(default_factory=dict)
-    structural_changes: list = field(default_factory=list)
-    probe_readings: dict = field(default_factory=dict)  # probe_id -> reading
+    spikes: dict[int, list[SpikeEvent]]
+    stability: dict[int, float]
+    pruned: list[int]
+    born: list[int]
+    payloads_deposited: int
+    payloads_consumed: int
+    payloads_expired: int
+    state_classification: dict[int, str]
+    structural_changes: list[StructuralChange]
+    probe_readings: dict[int, float]
 
     def to_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "spikes": {str(k): v for k, v in sorted(self.spikes.items())},
-            "stability": {str(k): float(v) for k, v in sorted(self.stability.items())},
-            "pruned": sorted(self.pruned),
-            "born": sorted(self.born),
-            "payloads_deposited": self.payloads_deposited,
-            "payloads_consumed": self.payloads_consumed,
-            "payloads_expired": self.payloads_expired,
-            "state_classification": {str(k): v for k, v in
-                                     sorted(self.state_classification.items())},
-            "structural_changes": self.structural_changes,
-            "probe_readings": {str(k): float(v) for k, v in
-                               sorted(self.probe_readings.items())},
-        }
+        return encode(self)
 
 
 class Entity:
@@ -345,18 +332,14 @@ def run_epoch(entity: Entity) -> EpochReport:
             node.end_epoch_housekeeping(entity.rng)
 
     deposited, consumed, expired = entity.grid.reset_epoch_counters()
-    report = EpochReport(epoch=entity.entity_clock)
-    report.spikes = {nid: [encode(s) for s in evs] for nid, evs in spikes.items()}
-    report.stability = {nid: entity.nodes[nid].stability_index
-                        for nid in sorted(entity.nodes)}
-    report.pruned = pruned
-    report.born = born
-    report.payloads_deposited = deposited
-    report.payloads_consumed = consumed
-    report.payloads_expired = expired
-    report.state_classification = classifications
-    report.structural_changes = [encode(c) for c in changes]
-    report.probe_readings = {p.probe_id: (p.history[-1] if p.history else 0.0)
-                             for p in entity.output_probes}
+    # pruned and born are ascending as the phases build them; Propagate appends
+    # a reading to every output probe
+    report = EpochReport(
+        epoch=entity.entity_clock, spikes=spikes,
+        stability={nid: entity.nodes[nid].stability_index for nid in sorted(entity.nodes)},
+        pruned=pruned, born=born, payloads_deposited=deposited,
+        payloads_consumed=consumed, payloads_expired=expired,
+        state_classification=classifications, structural_changes=changes,
+        probe_readings={p.probe_id: p.history[-1] for p in entity.output_probes})
     entity.entity_clock += 1
     return report

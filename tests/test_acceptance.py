@@ -116,7 +116,7 @@ def test_criterion_02_backprop_finite_differences(capsys):
                                for _ in range(n)])
             work = trained_copy(tensor)
             work.forward_propagate(deposits, min_e=1e18, dr=dr)
-            _, grad_w = work.goal_loss_gradients(
+            grad_w = work.goal_loss_gradients(
                 GoalPlane(z_index=zs, target_p=target), dr)
             for key, analytic in grad_w.items():
                 w0 = float(tensor.w[key])
