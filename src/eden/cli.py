@@ -19,7 +19,7 @@ import random
 import sys
 
 from .codec import decode
-from .config import ConfigError, EngineConfig
+from .config import ConfigError, decode_config
 from .runner import OutputProbe, input_probe_from_spec, run_epoch
 from . import store
 
@@ -46,7 +46,7 @@ def _attach_pattern(entity, pattern_path: str) -> None:
 
 def cmd_init(args) -> int:
     store.check_writable(args.out)  # refused now, not after the entity is seeded
-    config = EngineConfig.from_dict(store.read_json(args.config, store.InputError))
+    config = decode_config(store.read_json(args.config, store.InputError))
     if args.seed_override is not None:
         config.seed = args.seed_override
     from .runner import seed_entity

@@ -4,15 +4,20 @@ A type's persisted state is its dataclass init fields; runtime-only attributes
 are ``init=False`` and never written. ``decode`` calls the constructor, so
 ``__post_init__`` coercion and validation run on every load, and every key
 must be present. Fields convert by annotation; field metadata covers the
-irregular ones: ``"key"`` renames the JSON key and ``"codec"`` gives an
+irregular ones: ``"key"`` renames the JSON key, ``"codec"`` gives an
 ``(encode, decode)`` pair, where a ``None`` decoder marks a reference the
-caller passes to ``decode`` by field name. Each class's converter plan is
-built once and cached, so saving does no per-value type dispatch.
+caller passes to ``decode`` by field name, and ``"reads"`` names an earlier
+field the decoder takes as a second argument; `by_id` and `sorted_by` give
+the metadata of collections saved as ordered lists. Each class's converter
+plan is built once and cached, so saving does no per-value type dispatch.
 
-Decoding refuses with ``ValueError`` what a run could not save: a non-finite
-``float`` (``1e999`` parses to inf without a token), a fixed-length tuple of
-another length, and a non-finite number anywhere inside a bare ``dict`` or
-``list`` of free-form JSON.
+Decoding refuses with ``TypeError`` or ``ValueError`` what a run could not
+save: another JSON type than the field's (an ``int`` takes only an integer, a
+``bool`` only ``true`` or ``false``, a ``float`` any number), a non-finite
+number (``1e999`` parses to inf without a token), a fixed-length tuple of
+another length, and a non-finite number inside a bare ``dict`` or ``list`` of
+free-form JSON. A ``Number`` keeps the type JSON gave it: ``1`` stays ``1``
+where a ``float`` field saves ``1.0``.
 """
 from __future__ import annotations
 
@@ -20,25 +25,53 @@ import dataclasses
 import functools
 import json
 import math
+import operator
+import random
 import typing
 
 import numpy as np
 
+Number = typing.Union[int, float]
+
 
 def encode(obj) -> dict:
-    return {key: enc(getattr(obj, name)) for name, key, enc, _ in _plan(type(obj))}
+    return {key: enc(getattr(obj, name)) for name, key, enc, _, _ in _plan(type(obj))}
 
 
 def decode(cls, data: dict, **refs):
-    return cls(**{name: refs[name] if dec is None else dec(data[key])
-                  for name, key, _, dec in _plan(cls)})
+    for name, key, _, dec, reads in _plan(cls):  # `refs` gathers every field's value
+        if dec is not None:
+            refs[name] = dec(data[key], refs[reads]) if reads else dec(data[key])
+    return cls(**refs)
+
+
+def by_id(cls, ident: str) -> dict:
+    """The metadata of an ``{id: cls}`` dict saved as its values in id order."""
+    return {"codec": (lambda objs: [encode(objs[k]) for k in sorted(objs)],
+                      lambda items: keyed(ident, [decode(cls, d) for d in items]))}
+
+
+def keyed(ident: str, objs: list) -> dict:
+    """``objs`` keyed by their attribute ``ident``, refused if two share one."""
+    by_key = {getattr(obj, ident): obj for obj in objs}
+    if len(by_key) != len(objs):
+        raise ValueError(f"two items share one {ident}")
+    return by_key
+
+
+def sorted_by(cls, attr: str) -> dict:
+    """The metadata of a list of ``cls`` saved in order of the attribute ``attr``."""
+    key = operator.attrgetter(attr)
+    return {"codec": (lambda objs: [encode(obj) for obj in sorted(objs, key=key)],
+                      lambda items: [decode(cls, d) for d in items])}
 
 
 @functools.cache
 def _plan(cls) -> tuple:
     hints = typing.get_type_hints(cls)
     return tuple((f.name, f.metadata.get("key", f.name),
-                  *(f.metadata.get("codec") or _converters(hints[f.name])))
+                  *(f.metadata.get("codec") or converters(hints[f.name])),
+                  f.metadata.get("reads"))
                  for f in dataclasses.fields(cls) if f.init)
 
 
@@ -50,11 +83,27 @@ def _optional(conv):
     return lambda v: None if v is None else conv(v)
 
 
-def _finite_float(value) -> float:
-    f = float(value)
-    if not math.isfinite(f):
+def _exactly(tp, value):
+    """``value`` if it is a ``tp``: an ``int`` is no ``bool`` and no ``float``."""
+    if type(value) is not tp:
+        raise TypeError(f"{value!r} is not a JSON {tp.__name__}")
+    return value
+
+
+def _number(value):
+    """A finite number, kept an ``int`` or a ``float`` as JSON wrote it."""
+    if type(value) not in (int, float):
+        raise TypeError(f"{value!r} is not a number")
+    if not math.isfinite(value):  # an int too large for a float raises OverflowError
         raise ValueError(f"non-finite number {value!r}")
-    return f
+    return value
+
+
+def _rng(state: list) -> random.Random:
+    """The generator in a saved state; its pending ``gauss`` is a number or null."""
+    rng = random.Random()
+    rng.setstate((state[0], tuple(state[1]), _optional(_number)(state[2])))
+    return rng
 
 
 def _free_form(conv):
@@ -77,42 +126,48 @@ def _sequence(origin, dec, length, value):
 
 
 def _int_keyed(dec, value) -> dict:
-    """A JSON object's string keys converted back to ints, each value by ``dec``."""
+    """A JSON object's string keys converted back to ints, each value by ``dec``;
+    a key must be an int as ``str`` writes it, so ``"01"`` is refused."""
     if not isinstance(value, dict):
         raise TypeError(f"{value!r} is not a JSON object")
-    return {int(k): dec(x) for k, x in value.items()}
+    keyed = {int(k): dec(x) for k, x in value.items()}
+    if list(map(str, keyed)) != list(value):
+        raise ValueError(f"a key of {value!r} is not an integer as it is saved")
+    return keyed
 
 
 @functools.cache
-def _converters(tp) -> tuple:
+def converters(tp) -> tuple:
     """The (encode, decode) pair for one field annotation."""
     if dataclasses.is_dataclass(tp):
         return encode, functools.partial(decode, tp)
     if tp is float:
-        return float, _finite_float
-    if tp in (int, bool):
-        return _identity, tp
-    if tp is str:
-        return _identity, _identity
+        return float, lambda v: float(_number(v))
+    if tp == Number:
+        return _identity, _number
+    if tp in (int, bool, str):
+        return _identity, functools.partial(_exactly, tp)
     if tp is dict:  # a bare dict holds free-form JSON, copied on load
         return _identity, _free_form(dict)
     if tp is list:  # a bare list holds free-form JSON
         return _identity, _free_form(_identity)
     if tp is np.ndarray:  # the constructor fixes the dtype
         return np.ndarray.tolist, _identity
+    if tp is random.Random:  # saved as [version, [state words], gauss]
+        return (lambda rng: list(rng.getstate())), _rng
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is typing.Union and len(args) == 2 and type(None) in args:
-        enc, dec = _converters(next(a for a in args if a is not type(None)))
+        enc, dec = converters(next(a for a in args if a is not type(None)))
         return _optional(enc), _optional(dec)
     if origin is set:
-        enc, dec = _converters(args[0])
+        enc, dec = converters(args[0])
         return (lambda v: sorted(enc(x) for x in v)), (lambda v: {dec(x) for x in v})
     if origin in (list, tuple):
-        enc, dec = _converters(args[0])
+        enc, dec = converters(args[0])
         length = None if origin is list or args[-1] is Ellipsis else len(args)
         return (lambda v: [enc(x) for x in v]), functools.partial(_sequence, origin, dec, length)
     if origin is dict and args[0] is int:  # JSON object keys are strings
-        enc, dec = _converters(args[1])
+        enc, dec = converters(args[1])
         return ((lambda v: {str(k): enc(x) for k, x in v.items()}),
                 functools.partial(_int_keyed, dec))
     raise TypeError(f"no save-state converter for {tp!r}")

@@ -30,10 +30,13 @@ from dataclasses import dataclass, field
 from operator import le
 from typing import Iterable, Optional
 
-from .codec import decode, encode
+from .codec import by_id
 
 TRANSMITTER = "transmitter"
 ARCHITECTOR = "architector"
+_KINDS = frozenset((TRANSMITTER, ARCHITECTOR))
+_INF = math.inf
+_NUMBERS = (int, float)
 
 
 class GridError(ValueError):
@@ -42,6 +45,10 @@ class GridError(ValueError):
 
 @dataclass
 class TransArchPayload:
+    """A payload in the grid, refused when it is built unless the engine could
+    have made it: a known kind, a finite magnitude > 0, a ttl >= 0 and, in its
+    properties, an ``excitatory`` that is a number, which dendrites compare
+    with 0 to sign what they collect."""
     pid: int
     kind: str  # TRANSMITTER or ARCHITECTOR
     index: int
@@ -50,24 +57,16 @@ class TransArchPayload:
     ttl: int
     properties: dict = field(default_factory=dict)
 
-
-def _encode_payloads(payloads: dict) -> list:
-    return [encode(payloads[pid]) for pid in sorted(payloads)]
-
-
-def check_properties(properties: dict) -> dict:
-    """``properties``, refused unless an ``excitatory`` in them is a number:
-    dendrites compare it with 0 to sign what they collect."""
-    if type(properties.get("excitatory", 1)) not in (int, float):
-        raise GridError(f"payload excitatory {properties['excitatory']!r} is not a number")
-    return properties
-
-
-def _decode_payloads(items: list) -> dict:
-    payloads = [decode(TransArchPayload, d) for d in items]
-    for pl in payloads:
-        check_properties(pl.properties)
-    return {pl.pid: pl for pl in payloads}
+    def __post_init__(self):  # plain tests on constants: hundreds are built per epoch
+        if self.kind not in _KINDS:
+            raise GridError(f"unknown payload kind {self.kind!r}")
+        if not 0.0 < self.magnitude < _INF:
+            raise GridError(f"payload magnitude must be finite and > 0, got {self.magnitude}")
+        if self.ttl < 0:
+            raise GridError(f"payload ttl must be >= 0, got {self.ttl}")
+        if type(self.properties.get("excitatory", 1)) not in _NUMBERS:
+            raise GridError(
+                f"payload excitatory {self.properties['excitatory']!r} is not a number")
 
 
 @dataclass(eq=False)
@@ -77,8 +76,8 @@ class NeuralGrid:
     cell_size: float = 2.0
     next_pid: int = 0
     # stored as the payloads in pid order
-    payloads: dict[int, TransArchPayload] = field(
-        default_factory=dict, metadata={"codec": (_encode_payloads, _decode_payloads)})
+    payloads: dict[int, TransArchPayload] = field(default_factory=dict,
+                                                  metadata=by_id(TransArchPayload, "pid"))
     _pending_deposits: list[TransArchPayload] = field(default_factory=list, init=False)
     _pending_removals: list[int] = field(default_factory=list, init=False)
     # derived from `payloads` on the first query after a change; None until then
@@ -94,6 +93,11 @@ class NeuralGrid:
         self.bounds_min = tuple(float(c) for c in self.bounds_min)
         self.bounds_max = tuple(float(c) for c in self.bounds_max)
         self.cell_size = float(self.cell_size)
+        # a loaded grid: the engine numbers payloads from next_pid and keeps them inside
+        if self.payloads and max(self.payloads) >= self.next_pid:
+            raise GridError(f"next_pid {self.next_pid} does not exceed every payload pid")
+        if not all(self.in_bounds(pl.position) for pl in self.payloads.values()):
+            raise GridError("a payload lies outside the grid bounds")
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -105,8 +109,6 @@ class NeuralGrid:
 
     def new_payload(self, kind: str, index: int, position, magnitude: float,
                     ttl: int, properties: Optional[dict] = None) -> TransArchPayload:
-        if magnitude <= 0:
-            raise GridError(f"payload magnitude must be > 0, got {magnitude}")
         pl = TransArchPayload(pid=self.next_pid, kind=kind, index=index,
                               position=tuple(map(float, position)),
                               magnitude=float(magnitude), ttl=int(ttl),
@@ -232,7 +234,9 @@ class NeuralGrid:
     # -- aging -------------------------------------------------------------
 
     def decay_and_expire(self, decay_factor: float, epsilon_magnitude: float = 1e-6) -> int:
-        """Scale every magnitude, tick every ttl, drop spent payloads."""
+        """Scale every magnitude, tick every ttl, drop spent payloads: a ttl
+        below 0, a magnitude below ``epsilon_magnitude`` or one that underflowed
+        to 0.0, which a payload may not hold."""
         if not (0.0 < decay_factor <= 1.0):
             raise GridError(f"decay_factor must lie in (0, 1], got {decay_factor}")
         dead = []
@@ -240,7 +244,7 @@ class NeuralGrid:
             pl = self.payloads[pid]
             pl.magnitude *= decay_factor
             pl.ttl -= 1
-            if pl.ttl < 0 or pl.magnitude < epsilon_magnitude:
+            if pl.ttl < 0 or pl.magnitude < epsilon_magnitude or pl.magnitude == 0.0:
                 dead.append(pid)
         for pid in dead:
             del self.payloads[pid]

@@ -218,6 +218,16 @@ class TestDecayAndExpire:
         with pytest.raises(GridError):
             make_grid().decay_and_expire(0.0)
 
+    def test_magnitude_underflowing_to_zero_expires(self):
+        """With an epsilon of 0 a magnitude can underflow to 0.0, which a
+        payload may not hold: it expires, so the grid still saves and loads."""
+        g = make_grid()
+        g.deposit(g.new_payload(TRANSMITTER, 0, (5, 5, 5), 1.0, 10))
+        g.commit()
+        assert g.decay_and_expire(1e-300, epsilon_magnitude=0.0) == 0
+        assert g.decay_and_expire(1e-300, epsilon_magnitude=0.0) == 1
+        assert g.payloads == {}
+
 
 class TestConservation:
     def test_counts_balance(self):

@@ -226,6 +226,8 @@ class TestEnvironmentRules:
         (None, {"type": "deposit_payload", "payload": {"index": 0, "position": [5, 5, 5],
                                                        "magnitude": 1.0, "ttl": "long"}}),
         (None, {"type": "deposit_payload", "payload": {"index": 0, "position": [5, 5, 5],
+                                                       "magnitude": 1.0, "ttl": -1}}),
+        (None, {"type": "deposit_payload", "payload": {"index": 0, "position": [5, 5, 5],
                                                        "magnitude": 1e999}}),
         (None, {"type": "deposit_payload", "payload": {
             "index": 0, "position": [5, 5, 5], "magnitude": 1.0,
