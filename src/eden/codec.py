@@ -45,6 +45,11 @@ def decode(cls, data: dict, **refs):
     return cls(**refs)
 
 
+def dumps_canonical(obj) -> str:
+    """``obj`` as canonical JSON text: sorted keys, no spaces, no non-finite number."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 def by_id(cls, ident: str) -> dict:
     """The metadata of an ``{id: cls}`` dict saved as its values in id order."""
     return {"codec": (lambda objs: [encode(objs[k]) for k in sorted(objs)],

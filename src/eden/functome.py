@@ -16,11 +16,10 @@ AVX-512 kernels off to show the trajectories do not depend on them.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 
-from .codec import decode, encode
+from .codec import decode, dumps_canonical, encode
 from .grid import ARCHITECTOR, TRANSMITTER
 
 # Param keys each prerequisite needs to evaluate.
@@ -203,8 +202,7 @@ def mutate(functome: Functome, node_stability: float, stability_min: float,
 # -- hashing ---------------------------------------------------------------
 
 def _digest(obj) -> str:
-    blob = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
+    return hashlib.sha256(dumps_canonical(obj).encode("utf-8")).hexdigest()
 
 
 def functome_hash(functome: Functome) -> str:

@@ -15,10 +15,10 @@ import json
 import os
 import random
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from .codec import converters, decode, encode
+from .codec import Number, converters, decode, dumps_canonical, encode
 from .grid import TRANSMITTER, NeuralGrid, TransArchPayload
 from .runner import Entity, EpochReport, input_probe_from_spec
 
@@ -81,11 +81,7 @@ def entity_from_dict(data: dict) -> Entity:
 
 
 _encode_rng, _decode_rng = converters(random.Random)
-_decode_locked = converters(bool)[1]
-
-
-def dumps_canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+_decode_bool, _decode_int, _decode_number = (converters(tp)[1] for tp in (bool, int, Number))
 
 
 def check_writable(path: str) -> None:
@@ -131,7 +127,7 @@ def load(path: str) -> Entity:
     with refused_as(SaveStateError, f"save state {path}"):
         entity = entity_from_dict(doc["entity"])
         entity.rng = _decode_rng(doc["rng_state"])
-        entity.locked = _decode_locked(doc["locked"])
+        entity.locked = _decode_bool(doc["locked"])
     return entity
 
 
@@ -210,11 +206,10 @@ class EnvironmentControlRule:
         """The rule `d` describes; raises RuleError unless `holds` and `apply`
         can run it against this grid.
 
-        Every key they read must be present and convert as they convert it; a
-        deposit builds the payload `apply` builds, which refuses an unknown kind,
-        a magnitude that is not finite and > 0, a ttl < 0 and an `excitatory`
-        that is not a number, and needs a position inside the grid and
-        properties that hold no non-finite number.
+        Every key they read must be present, and each value is decoded by the
+        codec's rule for its type: a number threshold, an integer `probe_id`, a
+        boolean `repeating`. A deposit decodes the `TransArchPayload` `apply`
+        deposits, whose position must lie inside the grid.
         """
         if not isinstance(d, dict):
             raise RuleError(f"a rule is a JSON object, got {d!r}")
@@ -224,22 +219,20 @@ class EnvironmentControlRule:
                 raise RuleError(f"unknown precondition: {p}")
             if not isinstance(e, dict) or e.get("type") not in cls._EFFECT_TYPES:
                 raise RuleError(f"unknown effect: {e}")
-            if not isinstance(p[cls._PRE_TYPES[p["type"]]], (int, float)):
-                raise TypeError(f"{p['type']} threshold is not a number")
-            if p["type"] == "probe_reading_at_least" and "probe_id" not in p:
-                raise KeyError("probe_id")
+            _decode_number(p[cls._PRE_TYPES[p["type"]]])
+            if p["type"] == "probe_reading_at_least":
+                _decode_int(p["probe_id"])
             kind = e["type"]
             if kind == "add_input_probe":
                 input_probe_from_spec(e["probe"])
             elif kind == "remove_input_probe":
-                if "probe_id" not in e:
-                    raise KeyError("probe_id")
-            else:  # deposit_payload, built as `apply` builds it
-                payload = TransArchPayload(-1, *_deposit_args(e["payload"], ttl=0))
-                if len(payload.position) != 3 or not grid.in_bounds(payload.position):
-                    raise ValueError(f"position {payload.position} is not a point inside the grid")
-                json.dumps(payload.properties, allow_nan=False)
-        return cls(precondition=p, effect=e, repeating=bool(d.get("repeating", False)))
+                _decode_int(e["probe_id"])
+            else:  # deposit_payload
+                payload = _deposited(e["payload"], pid=-1, ttl=0)
+                if not grid.in_bounds(payload.position):
+                    raise ValueError(f"position {payload.position} is not inside the grid")
+            repeating = _decode_bool(d.get("repeating", False))
+        return cls(precondition=p, effect=e, repeating=repeating)
 
     def holds(self, entity: Entity) -> bool:
         p = self.precondition
@@ -260,19 +253,19 @@ class EnvironmentControlRule:
         elif kind == "remove_input_probe":
             entity.input_probes = [p for p in entity.input_probes
                                    if p.probe_id != e["probe_id"]]
-        else:  # deposit_payload
-            entity.grid.deposit(entity.grid.new_payload(
-                *_deposit_args(e["payload"], entity.config.payload_ttl)))
-            entity.grid.commit()
+        else:  # deposit_payload, with the grid's next pid
+            grid = entity.grid
+            grid.deposit(_deposited(e["payload"], grid.next_pid, entity.config.payload_ttl))
+            grid.next_pid += 1
+            grid.commit()
         return {"precondition": self.precondition, "effect": self.effect}
 
 
-def _deposit_args(spec: dict, ttl: int) -> tuple:
-    """`NeuralGrid.new_payload`'s arguments for a deposit rule's payload, with
-    ``ttl`` where it names none."""
-    return (spec.get("kind", TRANSMITTER), int(spec["index"]),
-            tuple(float(c) for c in spec["position"]), float(spec["magnitude"]),
-            int(spec.get("ttl", ttl)), dict(spec.get("properties", {})))
+def _deposited(spec: dict, pid: int, ttl: int) -> TransArchPayload:
+    """A deposit rule's payload as the codec decodes it: a transmitter with no
+    properties and ``ttl`` unless ``spec`` names them."""
+    return decode(TransArchPayload, {"kind": TRANSMITTER, "ttl": ttl, "properties": {},
+                                     **spec, "pid": pid})
 
 
 def load_rules(path: str, grid: NeuralGrid) -> list[EnvironmentControlRule]:

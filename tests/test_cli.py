@@ -488,13 +488,34 @@ def damage_input(path, kind, damage, text) -> None:
     elif damage == "wrong-type":
         path.write_text({"state": "[]", "config": "[]", "pattern": '"p"',
                          "rules": "[1]"}[kind])
+    else:  # one value the codec does not decode
+        doc = json.loads(text)
+        *steps, key, value = VALUE_DAMAGES[damage][1]
+        parent = doc
+        for step in steps:
+            parent = parent[step]
+        parent[key] = value
+        path.write_text(json.dumps(doc))
 
 
+# damage -> (kind, the path to one value of the valid file and the value put there)
+VALUE_DAMAGES = {
+    "frame-index-string": ("pattern", ("input_probes", 0, "frames", 0, 0, "index", "3")),
+    "frame-index-fraction": ("pattern", ("input_probes", 0, "frames", 0, 0, "index", 2.7)),
+    "frame-excitatory-bool": ("pattern", ("input_probes", 0, "frames", 0, 0, "excitatory",
+                                          True)),
+    "deposit-index-fraction": ("rules", (0, "effect", "payload", "index", 2.7)),
+    "repeating-string": ("rules", (0, "repeating", "false")),
+    "threshold-bool": ("rules", (0, "precondition", "epoch", True)),
+    "remove-probe-id-string": ("rules", (0, "effect", {"type": "remove_input_probe",
+                                                        "probe_id": "3"})),
+}
 INPUT_DAMAGES = [(kind, damage)
                  for kind in ("state", "config", "pattern", "rules", "log")
                  for damage in ("missing", "directory", "not-utf-8", "truncated", "nan",
                                 "wrong-type")
-                 if (kind, damage) != ("log", "wrong-type")]
+                 if (kind, damage) != ("log", "wrong-type")] + [
+    (kind, damage) for damage, (kind, _) in VALUE_DAMAGES.items()]
 
 
 @pytest.mark.parametrize("kind, damage", INPUT_DAMAGES)

@@ -10,7 +10,7 @@ from eden.codec import encode
 from eden.config import EngineConfig
 from eden.functome import ActionGene, functome_hash
 from eden.grid import TRANSMITTER
-from eden.node import Dendrite
+from eden.node import Dendrite, ProcessNode
 from eden.runner import (Entity, InputProbe, OutputProbe, develop_phase,
                          evaluate_prune_phase, propagate_phase, run_epoch, seed_entity)
 
@@ -387,8 +387,30 @@ class TestCheckInputProbe:
     def test_accepts_items_propagate_deposits(self):
         entity = seed_entity(small_config())
         probe = InputProbe(probe_id=0, position=(5, 5, 5), frames=[[], [
-            GOOD_ITEM, {"offset": [0.5, -1, 0], "index": 1.0, "magnitude": 2},
+            GOOD_ITEM, {"offset": [0.5, -1, 0], "index": 1, "magnitude": 2},
             {**GOOD_ITEM, "magnitude": -1.0, "excitatory": -1}]])
         entity.input_probes.append(probe)
         for _ in range(2):
             propagate_phase(entity)
+
+    def test_a_fractional_negative_excitatory_inhibits(self, monkeypatch):
+        """A frame item's ``excitatory`` of -0.5 reaches the payload as -0.5,
+        so the dendrite that collects it adds its magnitude with a - sign."""
+        entity = seed_entity(small_config())
+        node = entity.nodes[min(entity.nodes)]  # collects first
+        dendrite = node.dendrites[0]
+        dendrite.accepted_transmitter_indices = {0}
+        entity.input_probes.append(InputProbe(probe_id=0, position=dendrite.position, frames=[
+            [{"offset": [0, 0, 0], "index": 0, "magnitude": 2.0, "excitatory": -0.5}]]))
+        collected = {}
+        collect = ProcessNode.collect_inputs
+
+        def spy(self, grid, claimed):
+            collected[self.id] = collect(self, grid, claimed)
+            return collected[self.id]
+
+        monkeypatch.setattr(ProcessNode, "collect_inputs", spy)
+        propagate_phase(entity)
+        deposits, consumed = collected[node.id]
+        assert len(consumed) == 1
+        assert deposits[0][2] == -2.0 * dendrite.gain

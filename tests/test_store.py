@@ -245,7 +245,7 @@ class TestEnvironmentRules:
                                      "probe_id": 3, "value": 0.5}},
                    {"precondition": {"type": "node_count_at_least", "count": 2.5}},
                    {"effect": {"type": "deposit_payload", "payload": {
-                       "kind": "architector", "index": 1.0, "position": [0, 10, 2.5],
+                       "kind": "architector", "index": 1, "position": [0, 10, 2.5],
                        "magnitude": 2, "ttl": 4, "properties": {"target_action": "x"}}}},
                    {"effect": {"type": "add_input_probe", "probe": {
                        "probe_id": 7, "position": [1, 1, 1], "frames": [[], [
