@@ -51,8 +51,9 @@ def dumps_canonical(obj) -> str:
 
 
 def by_id(cls, ident: str) -> dict:
-    """The metadata of an ``{id: cls}`` dict saved as its values in id order."""
-    return {"codec": (lambda objs: [encode(objs[k]) for k in sorted(objs)],
+    """The metadata of an ``{id: cls}`` dict saved as its values in the order
+    stored, which the dict's owner keeps in id order."""
+    return {"codec": (lambda objs: [encode(obj) for obj in objs.values()],
                       lambda items: keyed(ident, [decode(cls, d) for d in items]))}
 
 

@@ -1,9 +1,11 @@
 """The shared 3D environment holding transmitter/architector payloads.
 
 Continuous coordinates; the pid-keyed payload dict is the single source of
-truth, and the save state and tracing read it. Deposits and removals are
-staged and applied at an explicit commit barrier, so every query between two
-commits sees the same frozen state. Payloads change only in `commit` and
+truth, and the save state and tracing read it. It is stored in pid order:
+`NeuralGrid.__post_init__` sorts the payloads it is given, and `new_payload`
+numbers each later payload above every earlier one, so a commit adds at the
+end. Deposits and removals are staged and applied at an explicit commit
+barrier, so every query between two commits sees the same frozen state. Payloads change only in `commit` and
 `decay_and_expire`; both drop what the queries derived from them, and the
 first query after a change derives its own structure again: uniform-cell
 buckets of (pid, position) nested `cx -> cy -> cz`, the same buckets per
@@ -75,7 +77,7 @@ class NeuralGrid:
     bounds_max: tuple[float, float, float]
     cell_size: float = 2.0
     next_pid: int = 0
-    # stored as the payloads in pid order
+    # saved as the payloads in pid order, the order they are stored in
     payloads: dict[int, TransArchPayload] = field(default_factory=dict,
                                                   metadata=by_id(TransArchPayload, "pid"))
     _pending_deposits: list[TransArchPayload] = field(default_factory=list, init=False)
@@ -93,6 +95,7 @@ class NeuralGrid:
         self.bounds_min = tuple(float(c) for c in self.bounds_min)
         self.bounds_max = tuple(float(c) for c in self.bounds_max)
         self.cell_size = float(self.cell_size)
+        self.payloads = dict(sorted(self.payloads.items()))
         # a loaded grid: the engine numbers payloads from next_pid and keeps them inside
         if self.payloads and max(self.payloads) >= self.next_pid:
             raise GridError(f"next_pid {self.next_pid} does not exceed every payload pid")
@@ -216,9 +219,7 @@ class NeuralGrid:
         by_index = self._by_index
         if by_index is None:  # each index's (position, magnitude) in pid order
             by_index = self._by_index = defaultdict(list)
-            payloads = self.payloads
-            for pid in sorted(payloads):
-                pl = payloads[pid]
+            for pl in self.payloads.values():
                 by_index[pl.index].append((pl.position, pl.magnitude))
         gx = gy = gz = 0.0
         inv_s2 = 1.0 / (sigma * sigma)
@@ -240,8 +241,7 @@ class NeuralGrid:
         if not (0.0 < decay_factor <= 1.0):
             raise GridError(f"decay_factor must lie in (0, 1], got {decay_factor}")
         dead = []
-        for pid in sorted(self.payloads):
-            pl = self.payloads[pid]
+        for pid, pl in self.payloads.items():
             pl.magnitude *= decay_factor
             pl.ttl -= 1
             if pl.ttl < 0 or pl.magnitude < epsilon_magnitude or pl.magnitude == 0.0:

@@ -132,6 +132,21 @@ class TestTrain:
         assert len(records) == 6
         assert any(rec["spikes"] for rec in records)
 
+    def test_seed_override(self, tmp_path, state_path):
+        """Copies trained with one --seed-override match, and the override
+        replaces the saved RNG state."""
+        pattern = write_pattern(tmp_path, state_path)
+        runs = {}
+        for name, extra in (("a", ["--seed-override", "5"]), ("b", ["--seed-override", "5"]),
+                            ("saved", [])):
+            path, log = tmp_path / f"{name}.eden.json", tmp_path / f"{name}.session.jsonl"
+            shutil.copy(state_path, path)
+            assert main(["train", "--state", str(path), "--epochs", "4", "--pattern", pattern,
+                         "--log", str(log), *extra]) == EXIT_OK
+            runs[name] = path.read_bytes(), log.read_bytes()
+        assert runs["a"] == runs["b"]
+        assert json.loads(runs["a"][0])["rng_state"] != json.loads(runs["saved"][0])["rng_state"]
+
     def test_missing_state(self, tmp_path):
         rc = main(["train", "--state", str(tmp_path / "none.json"),
                    "--epochs", "1"])
@@ -611,6 +626,16 @@ class TestExportMetrics:
         rc = main(["export-metrics", "--log", str(tmp_path / "none.jsonl"),
                    "--out", str(tmp_path / "m.csv")])
         assert rc == EXIT_MISSING
+
+    @pytest.mark.parametrize("out", ["missing/m.csv", "."], ids=["missing-dir", "directory"])
+    def test_out_that_cannot_be_written(self, tmp_path, state_path, out, capsys):
+        log = tmp_path / "run.session.jsonl"
+        main(["train", "--state", state_path, "--epochs", "2", "--log", str(log)])
+        before = sorted(tmp_path.iterdir())
+        rc = main(["export-metrics", "--log", str(log), "--out", str(tmp_path / out)])
+        assert rc == EXIT_MISSING
+        assert "cannot write metrics" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
 
 
 class TestReplay:

@@ -138,7 +138,7 @@ class TestDevelopPhase:
     def test_neurogenesis_commits_at_barrier(self):
         entity = seed_entity(small_config())
         parent = entity.nodes[min(entity.nodes)]
-        entity.queue_neurogenesis(parent, (0.5, 0.0, 0.0))
+        entity.queue_neurogenesis(parent, parent.soma_position)
         _, born = develop_phase(entity)
         assert len(born) == 1
         child = entity.nodes[born[0]]
@@ -148,7 +148,7 @@ class TestDevelopPhase:
         entity = seed_entity(small_config(initial_nodes=3, max_nodes=4))
         parent = entity.nodes[min(entity.nodes)]
         for _ in range(5):
-            entity.queue_neurogenesis(parent, (0.5, 0.0, 0.0))
+            entity.queue_neurogenesis(parent, parent.soma_position)
         _, born = develop_phase(entity)
         assert len(born) == 1
         assert len(entity.nodes) == 4
@@ -164,7 +164,7 @@ class TestDevelopPhase:
     def test_shared_functome_clones_before_mutation(self):
         entity = seed_entity(small_config(mutation_rate=1.0))
         parent = entity.nodes[min(entity.nodes)]
-        entity.queue_neurogenesis(parent, (0.5, 0.0, 0.0))
+        entity.queue_neurogenesis(parent, parent.soma_position)
         develop_phase(entity)
         sibling = next(n for n in entity.nodes.values()
                        if n.id != parent.id and n.functome.fid == parent.functome.fid)
