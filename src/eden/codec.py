@@ -11,6 +11,12 @@ field the decoder takes as a second argument; `by_id` and `sorted_by` give
 the metadata of collections saved as ordered lists. Each class's converter
 plan is built once and cached, so saving does no per-value type dispatch.
 
+Writing goes through `canonical_pieces`: ``json.dumps`` writes the document
+with a marker where each ``np.ndarray`` stands, and `lattice_text` writes each
+array with orjson's numpy serializer, the text spliced in at its marker.
+``encode`` hands arrays through uncopied, and ``decode`` copies an array it
+is handed, so a decoded object shares no memory with the original.
+
 Decoding refuses with ``TypeError`` or ``ValueError`` what a run could not
 save: another JSON type than the field's (an ``int`` takes only an integer, a
 ``bool`` only ``true`` or ``false``, a ``float`` any number), a non-finite
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import operator
@@ -30,6 +37,7 @@ import random
 import typing
 
 import numpy as np
+import orjson
 
 Number = typing.Union[int, float]
 
@@ -47,7 +55,59 @@ def decode(cls, data: dict, **refs):
 
 def dumps_canonical(obj) -> str:
     """``obj`` as canonical JSON text: sorted keys, no spaces, no non-finite number."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return "".join(canonical_pieces(obj))
+
+
+def canonical_pieces(obj) -> list[str]:
+    """The text of `dumps_canonical` in pieces: each array's text apart, in
+    document order, between the pieces ``json.dumps`` wrote around it.
+
+    ``json.dumps`` writes a marker string for each array. A string in ``obj``
+    that equals the marker shows as one piece too many, and the next marker is
+    tried, so no input string can move an array's text.
+    """
+    for n in itertools.count():
+        marker, arrays = f"\0ndarray {n}", []
+
+        def hand_over(value):
+            if not isinstance(value, np.ndarray):
+                raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+            arrays.append(value)
+            return marker
+
+        parts = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False,
+                           default=hand_over).split(json.dumps(marker))
+        if len(parts) == len(arrays) + 1:
+            break
+    pieces = [parts[0]]
+    for array, part in zip(arrays, parts[1:]):
+        pieces += (lattice_text(array), part)
+    return pieces
+
+
+def lattice_text(a: np.ndarray) -> str:
+    """``a`` as ``json.dumps(a.tolist(), separators=(",", ":"))`` writes it,
+    written by orjson, for a C-contiguous float64 or integer array.
+
+    orjson picks the same shortest round-trip digits as ``repr`` but writes
+    ``0.00001`` for ``1e-05`` and ``1e16`` for ``1e+16``, so the values below
+    1e-4 or from 1e16 in magnitude are written again with ``repr``. Split on
+    commas, the text holds one value per piece, brackets included, in C order.
+    Refuses a non-finite value, which orjson would write as ``null``.
+    """
+    text = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)
+    if a.dtype.kind == "f":
+        if not np.isfinite(a).all():
+            raise ValueError("Out of range float values are not JSON compliant")
+        magnitude = np.abs(a)
+        rewrite = np.flatnonzero(((magnitude < 1e-4) & (a != 0)) | (magnitude >= 1e16))
+        if rewrite.size:
+            values = text.split(b",")
+            for i in rewrite:
+                token = values[i].strip(b"[]")
+                values[i] = values[i].replace(token, repr(float(token)).encode())
+            text = b",".join(values)
+    return text.decode()
 
 
 def by_id(cls, ident: str) -> dict:
@@ -83,6 +143,12 @@ def _plan(cls) -> tuple:
 
 def _identity(value):
     return value
+
+
+def _copied(value):
+    """A copy of an array, which `encode` hands through: a decoded object must
+    not share memory with the one encoded. Nested lists, as loaded, pass."""
+    return value.copy() if isinstance(value, np.ndarray) else value
 
 
 def _optional(conv):
@@ -157,8 +223,8 @@ def converters(tp) -> tuple:
         return _identity, _free_form(dict)
     if tp is list:  # a bare list holds free-form JSON
         return _identity, _free_form(_identity)
-    if tp is np.ndarray:  # the constructor fixes the dtype
-        return np.ndarray.tolist, _identity
+    if tp is np.ndarray:  # written by `lattice_text`; the constructor fixes the dtype
+        return _identity, _copied
     if tp is random.Random:  # saved as [version, [state words], gauss]
         return (lambda rng: list(rng.getstate())), _rng
     origin, args = typing.get_origin(tp), typing.get_args(tp)

@@ -11,6 +11,7 @@ every node, functome and payload added later goes to the end.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -301,6 +302,9 @@ def develop_phase(entity: Entity) -> tuple[list[StructuralChange], list[int]]:
     cfg = entity.config
     rng = entity.rng
     changes: list[StructuralChange] = []
+    # nodes per functome id; clone-on-mutate below is the only place a node
+    # changes functome, and nodes are born and die after this loop
+    sharers = Counter(node.functome.fid for node in entity.nodes.values())
     for node in entity.nodes.values():
         # nothing commits during Develop and somas never move: one read serves
         # the gene scan and the architectors
@@ -319,11 +323,11 @@ def develop_phase(entity: Entity) -> tuple[list[StructuralChange], list[int]]:
 
         functome = node.functome
         if (not functome.locked and node.stability_index < cfg.stability_min):
-            shared = sum(1 for other in entity.nodes.values()
-                         if other.functome.fid == functome.fid)
-            if shared > 1:
+            if sharers[functome.fid] > 1:
                 # clone-on-mutate: shared genomes stay intact for siblings
+                sharers[functome.fid] -= 1
                 functome = functome.clone(entity.allocate_functome_id())
+                sharers[functome.fid] = 1
                 entity.functomes[functome.fid] = functome
                 node.functome = functome
         mutate(functome, node.stability_index, cfg.stability_min, rng,

@@ -1,10 +1,13 @@
 """Save states, lock mode, the session log and environmental control rules.
 
 Save states are canonical JSON (`*.eden.json`): stable key order, shortest
-round-trip decimals, format_version gate. Saving, loading and saving again is
-a byte fixpoint, and the serialized RNG state makes resumed runs bit-identical
-to uninterrupted ones. A type's persisted state is its dataclass init fields,
-written and read by `eden.codec`; runtime-only attributes are `init=False`.
+round-trip decimals, format_version gate. `save` builds the text in pieces with
+`eden.codec.canonical_pieces`, each lattice's text written by orjson, before it
+opens the temporary file, and writes them one by one. Saving, loading and
+saving again is a byte fixpoint, and the serialized RNG state makes resumed
+runs bit-identical to uninterrupted ones. A type's persisted state is its
+dataclass init fields, written and read by `eden.codec`; runtime-only
+attributes are `init=False`.
 The session log (`*.session.jsonl`) is append-only, one record per epoch.
 Every input file is read by `read_json`, and each refusal is an `InputError`.
 """
@@ -18,7 +21,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from typing import Optional
 
-from .codec import Number, converters, decode, dumps_canonical, encode
+from .codec import Number, canonical_pieces, converters, decode, dumps_canonical, encode
 from .grid import TRANSMITTER, NeuralGrid, TransArchPayload
 from .runner import Entity, EpochReport, input_probe_from_spec
 
@@ -104,12 +107,13 @@ def save(entity: Entity, path: str) -> None:
         "rng_state": _encode_rng(entity.rng),
         "entity": entity_to_dict(entity),
     }
-    text = dumps_canonical(doc)
+    pieces = canonical_pieces(doc)  # a refusal raises before the file is opened
     tmp = path + ".tmp"
     fh = open(tmp, "w", encoding="utf-8")
     try:
         with fh:
-            fh.write(text)
+            for piece in pieces:  # one by one: joined, they would raise the peak memory
+                fh.write(piece)
             fh.write("\n")
         os.replace(tmp, path)
     except BaseException:  # a failed write or replace leaves no partial file behind

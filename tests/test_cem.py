@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from eden.cem import (CENTER, ROUTER_OPTIONS, DepositError, GoalPlane,
                       PropagationTrace, PwrTensor, SpikeEvent, StructureError,
                       plane_sum, transfer)
-from eden.codec import decode, encode
+from eden.codec import decode, dumps_canonical, encode
 
 
 # values a saved state's energy fields may not hold: a state is saved between
@@ -738,7 +738,7 @@ class TestDeterminism:
                 else:
                     t.randomize_stale_routers(rng)
                 t.reset_propagation()  # epoch end
-            states.append(encode(t))
+            states.append(dumps_canonical(encode(t)))
         assert states[0] == states[1]
 
 

@@ -1,0 +1,172 @@
+"""The canonical writer against the one it replaced: `json.dumps` writing each
+array through `tolist`, kept here as the oracle of the save-state bytes."""
+import json
+import os
+import random
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+
+from eden import store
+from eden.cem import PwrTensor
+from eden.codec import converters, decode, dumps_canonical, encode, lattice_text
+from eden.config import EngineConfig
+from eden.functome import Functome
+from eden.grid import TRANSMITTER
+from eden.node import ProcessNode
+from eden.runner import InputProbe, run_epoch, seed_entity
+
+
+def oracle(obj) -> str:
+    """The canonical JSON text as written before orjson wrote the lattices."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False,
+                      default=np.ndarray.tolist)
+
+
+def oracle_save(entity) -> bytes:
+    """The bytes `store.save` wrote before orjson wrote the lattices."""
+    doc = {"format_version": store.FORMAT_VERSION, "locked": entity.locked,
+           "rng_state": converters(random.Random)[0](entity.rng),
+           "entity": store.entity_to_dict(entity)}
+    return (oracle(doc) + "\n").encode()
+
+
+def saved(entity, path) -> bytes:
+    store.save(entity, str(path))
+    return path.read_bytes()
+
+
+# the values next to both notation boundaries of `lattice_text`, the signed
+# zeros, the smallest subnormal and normal numbers and the largest finite
+EDGES = np.array([v for x in (1e-4, 1e16)
+                  for v in (np.nextafter(x, 0), x, np.nextafter(x, np.inf))]
+                 + [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308])
+shapes = hnp.array_shapes(min_dims=1, max_dims=3, max_side=5)
+# every finite float64, drawn as a random bit pattern: negatives and subnormals
+# as often as they occur among patterns
+bit_patterns = hnp.arrays(np.uint64, shapes).map(
+    lambda bits: np.where(np.isfinite(bits.view(np.float64)), bits.view(np.float64), 0.0))
+
+
+class TestLatticeText:
+    @given(hnp.arrays(np.float64, shapes, elements=st.floats(allow_nan=False,
+                                                             allow_infinity=False)))
+    @example(EDGES)
+    @example(np.concatenate([EDGES, -EDGES]).reshape(2, 1, -1))
+    def test_floats_as_the_oracle_writes_them(self, a):
+        assert lattice_text(a) == oracle(a)
+
+    @given(bit_patterns)
+    def test_bit_patterns_as_the_oracle_writes_them(self, a):
+        assert lattice_text(a) == oracle(a)
+
+    def test_many_bit_patterns_as_the_oracle_writes_them(self):
+        bits = np.random.default_rng(20).integers(0, 2 ** 64, 100_000, dtype=np.uint64)
+        a = bits.view(np.float64)
+        a = a[np.isfinite(a)][:99_000].reshape(-1, 10, 10)
+        assert lattice_text(a) == oracle(a)
+
+    @given(hnp.arrays(np.int8, shapes))
+    def test_routers_as_the_oracle_writes_them(self, a):
+        assert lattice_text(a) == oracle(a)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_refused(self, bad):
+        with pytest.raises(ValueError):
+            lattice_text(np.array([[0.5, bad]]))
+
+
+# the marker strings `canonical_pieces` tries first, and one hidden behind an
+# escaped quote, whose JSON text ends in the first marker's
+FORGED = ["\0ndarray 0", "\0ndarray 1", "\0ndarray 2", 'x"\0ndarray 0']
+
+
+class TestDumpsCanonical:
+    @given(st.dictionaries(st.text(max_size=12), st.text(max_size=12), max_size=4),
+           st.lists(bit_patterns, max_size=3))
+    @example({"note": FORGED[0]}, [EDGES])
+    @example(dict(zip("abcd", FORGED)), [EDGES, EDGES[::-1].copy()])
+    def test_strings_beside_arrays_as_the_oracle_writes_them(self, strings, arrays):
+        doc = {"strings": strings, "arrays": arrays, "pair": [strings, arrays]}
+        assert dumps_canonical(doc) == oracle(doc)
+
+
+@st.composite
+def trained_entities(draw):
+    """A small trained entity whose lattices hold drawn values: weights near 0
+    and 1, and goal targets across every notation of `lattice_text`."""
+    entity = seed_entity(EngineConfig(
+        initial_nodes=draw(st.integers(1, 3)), dim_xy=draw(st.integers(1, 3)),
+        dim_z=draw(st.integers(1, 4)), min_e=draw(st.sampled_from([0.5, 1.5])),
+        initial_dendrites=1, dr=0.0, seed=draw(st.integers(0, 2 ** 20))))
+    for nid, node in entity.nodes.items():
+        if node.dendrites:
+            entity.input_probes.append(InputProbe(
+                probe_id=nid, position=node.dendrites[0].position,
+                frames=[[{"offset": [0, 0, 0], "magnitude": 2.0,
+                          "index": min(node.dendrites[0].accepted_transmitter_indices)}]]))
+    for _ in range(draw(st.integers(0, 3))):
+        run_epoch(entity)
+    weights = st.floats(0.0, 1.0) | st.floats(0.0, 1e-4) | st.sampled_from([0.0, 1e-4, 1.0])
+    targets = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(list(EDGES))
+    for node in entity.nodes.values():
+        w = node.cem.w.reshape(-1)
+        for k in draw(st.lists(st.integers(0, w.size - 1), max_size=4)):
+            w[k] = draw(weights)
+        if node.goal is not None:
+            node.goal.target_p.reshape(-1)[0] = draw(targets)
+    return entity
+
+
+class TestSave:
+    @settings(max_examples=30, deadline=None)
+    @given(trained_entities())
+    def test_bytes_as_the_oracle_writes_them(self, tmp_path_factory, entity):
+        path = tmp_path_factory.mktemp("save") / "e.eden.json"
+        assert saved(entity, path) == oracle_save(entity)
+
+    def test_non_finite_weight_refused_before_the_file_is_touched(self, tmp_path):
+        entity = seed_entity(EngineConfig(initial_nodes=2, dim_xy=2, dim_z=3, seed=4))
+        path = tmp_path / "e.eden.json"
+        before = saved(entity, path)
+        entity.nodes[0].cem.w[1, 0, 2] = np.nan
+        with pytest.raises(ValueError):
+            store.save(entity, str(path))
+        assert os.listdir(tmp_path) == ["e.eden.json"]
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("text", FORGED)
+    def test_property_equal_to_a_marker_saved_as_the_oracle_writes_it(self, tmp_path, text):
+        entity = seed_entity(EngineConfig(initial_nodes=2, dim_xy=2, dim_z=3, seed=4))
+        grid = entity.grid
+        grid.deposit(grid.new_payload(TRANSMITTER, 0, (1.0, 1.0, 1.0), 1.0, 3,
+                                      properties={"note": text, "excitatory": 1}))
+        grid.commit()
+        data = saved(entity, tmp_path / "e.eden.json")
+        assert data == oracle_save(entity)
+        assert text in json.loads(data)["entity"]["grid"]["payloads"][0]["properties"]["note"]
+
+
+class TestDecodeCopies:
+    """`encode` hands arrays through, so the decoded copy must own its own."""
+
+    def test_tensor(self):
+        t = PwrTensor.random(3, 4, random.Random(1))
+        copy = decode(PwrTensor, encode(t))
+        for name in ("p", "w", "r", "plane_energy_acc"):
+            assert np.array_equal(getattr(copy, name), getattr(t, name))
+            assert not np.shares_memory(getattr(copy, name), getattr(t, name))
+
+    def test_node(self):
+        node = ProcessNode(id=0, soma_position=(5, 5, 5), functome=Functome(fid=0),
+                           cem=PwrTensor.random(3, 5, random.Random(2)), min_e=0.5, dr=0.0)
+        node.step([(1, 1, 5.0)], 3, 0.05, 0.5)
+        assert node.goal is not None
+        copy = decode(ProcessNode, encode(node), functome=node.functome)
+        assert dumps_canonical(encode(copy)) == dumps_canonical(encode(node))
+        for mine, theirs in ((copy.cem.w, node.cem.w), (copy.cem.r, node.cem.r),
+                             (copy.cem.p, node.cem.p),
+                             (copy.goal.target_p, node.goal.target_p)):
+            assert not np.shares_memory(mine, theirs)

@@ -1,9 +1,10 @@
 """Tests for entity orchestration: seeding, the three phases, epoch reports."""
 import copy
+import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eden import store
 from eden.codec import encode
@@ -47,13 +48,13 @@ class TestSeeding:
         from eden.store import entity_to_dict
         a = seed_entity(small_config())
         b = seed_entity(small_config())
-        assert entity_to_dict(a) == entity_to_dict(b)
+        assert store.dumps_canonical(entity_to_dict(a)) == store.dumps_canonical(entity_to_dict(b))
 
     def test_different_seed_differs(self):
         from eden.store import entity_to_dict
         a = seed_entity(small_config(seed=1))
         b = seed_entity(small_config(seed=2))
-        assert entity_to_dict(a) != entity_to_dict(b)
+        assert store.dumps_canonical(entity_to_dict(a)) != store.dumps_canonical(entity_to_dict(b))
 
     def test_positions_inside_bounds(self):
         cfg = small_config(bounds_min=(0, 0, 0), bounds_max=(4, 5, 6))
@@ -177,6 +178,27 @@ class TestDevelopPhase:
         # the sibling still reads the untouched genome
         assert functome_hash(sibling.functome) == frozen
         assert parent.functome.fid != sibling.functome.fid
+
+    def test_every_node_mutating_saves_the_pinned_state(self, tmp_path):
+        """With ``stability_min`` above every stability index, each node mutates
+        every epoch, and the siblings born to a parent clone its genome; the
+        state bytes are those written when Develop scanned every node to count
+        a genome's sharers."""
+        entity = seed_entity(small_config(seed=3, initial_nodes=6, initial_genes=8,
+                                          stability_min=1.5, max_nodes=24))
+        for nid, node in entity.nodes.items():  # feed every node's first dendrite
+            index = min(node.dendrites[0].accepted_transmitter_indices)
+            entity.input_probes.append(InputProbe(
+                probe_id=nid, position=node.dendrites[0].position,
+                frames=[[{"offset": [0, 0, 0], "index": index, "magnitude": 2.0}]]))
+        born = sum(len(run_epoch(entity).born) for _ in range(8))
+        store.save(entity, str(tmp_path / "s.eden.json"))
+        data = (tmp_path / "s.eden.json").read_bytes()
+        assert born == 22
+        assert sum(1 for f in entity.functomes.values() if f.lineage) == 22  # clones
+        assert len(data) == 109929
+        assert (hashlib.sha256(data).hexdigest()
+                == "7a71e960901377de702251cb335b75fd2307d1f6cce234acffd1e36158bf088b")
 
     def test_stable_nodes_keep_genomes(self):
         entity = seed_entity(small_config(mutation_rate=1.0))
@@ -322,11 +344,17 @@ class TestReportEncodingAgainstReference:
     @given(seed=st.integers(0, 2 ** 32 - 1), nodes=st.integers(11, 16),
            min_e=st.floats(0.2, 2.0), prune_below=st.sampled_from([0.1, 1.5]),
            locked=st.booleans())
+    @example(seed=145, nodes=11, min_e=1.0, prune_below=0.1, locked=False)
     def test_report_and_session_record(self, seed, nodes, min_e, prune_below, locked):
-        """Every stimulated node is pruned when ``prune_below`` exceeds 1."""
+        """Every stimulated node is pruned when ``prune_below`` exceeds 1.
+
+        The pickup radius is so small that each dendrite collects only its own
+        probe's payload: with the default 1.5, an earlier node's dendrite can
+        claim node 10's, and no id of 10 or more is ever classified."""
         entity = seed_entity(small_config(
             seed=seed, initial_nodes=nodes, min_e=min_e, dr=0.0, mutation_rate=0.5,
-            max_nodes=24, stability_prune_threshold=prune_below))
+            max_nodes=24, stability_prune_threshold=prune_below,
+            dendrite_pickup_radius=1e-6))
         for nid, node in entity.nodes.items():  # feed every node's first dendrite
             index = min(node.dendrites[0].accepted_transmitter_indices)
             entity.input_probes.append(InputProbe(
