@@ -109,8 +109,9 @@ class Entity:
     RNG and the lock flag are saved beside it. Building one refuses what the
     engine never writes, on which a run can fail or never end: an id counter
     that does not exceed every id handed out, a grid or node that differs from
-    the config where the engine copies the config into it, and a soma or
-    neurite outside the grid. The nodes and functomes are stored in id order."""
+    the config where the engine copies the config into it, a soma or neurite
+    outside the grid, and two output probes under one id, whose readings the
+    epoch report would merge. The nodes and functomes are stored in id order."""
     config: EngineConfig = field(metadata={"codec": (encode, decode_config)})
     grid: NeuralGrid
     functomes: dict[int, Functome] = field(default_factory=dict, metadata=by_id(Functome, "fid"))
@@ -137,6 +138,7 @@ class Entity:
         if self.functomes and max(self.functomes) >= self.next_functome_id:
             raise ValueError(
                 f"next_functome_id {self.next_functome_id} does not exceed every functome id")
+        keyed("probe_id", self.output_probes)
         cfg, grid = self.config, self.grid
         if (grid.bounds_min, grid.bounds_max, grid.cell_size) != (
                 cfg.bounds_min, cfg.bounds_max, cfg.grid_cell_size):

@@ -135,17 +135,12 @@ def load(path: str) -> Entity:
     return entity
 
 
-def lock(entity: Entity) -> None:
-    """Freeze development: only Propagate runs, every Functome mutation disabled."""
-    entity.locked = True
+def set_locked(entity: Entity, locked: bool) -> None:
+    """Set the lock flag of the entity and of each of its functomes. A locked
+    entity runs only Propagate, with every Functome mutation disabled."""
+    entity.locked = locked
     for functome in entity.functomes.values():
-        functome.locked = True
-
-
-def unlock(entity: Entity) -> None:
-    entity.locked = False
-    for functome in entity.functomes.values():
-        functome.locked = False
+        functome.locked = locked
 
 
 # -- session log -----------------------------------------------------------

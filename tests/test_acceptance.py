@@ -240,7 +240,7 @@ def test_criterion_07_lock_freezes_identity(capsys):
                                           min_e=0.5, dr=0.0, mutation_rate=1.0,
                                           seed=707))
         stimulus_probe(entity, magnitude=4.0)
-        store.lock(entity)
+        store.set_locked(entity, True)
         node_ids = set(entity.nodes)
         gene_counts = {fid: len(f.genes) for fid, f in entity.functomes.items()}
         f_hashes = {fid: functome_hash(f) for fid, f in entity.functomes.items()}

@@ -199,6 +199,38 @@ class TestTrain:
         assert records[0]["environment_events"] != []
         assert records[1]["environment_events"] == []
 
+    @pytest.mark.parametrize("repeating", [True, pytest.param(False, marks=pytest.mark.xfail(
+        strict=True, reason="a one-shot rule's fired flag is not saved, so the second "
+                            "session fires it again (ROADMAP item 1, save-state format 2)"))],
+        ids=["repeating-rule", "one-shot-rule"])
+    def test_resumed_training_matches_an_uninterrupted_run(self, tmp_path, state_path,
+                                                           repeating):
+        """3 + 3 epochs write the same state and session log as 6 straight. The
+        pattern's probes are saved with the state, so only the first session
+        attaches it; the rules file is read by each session."""
+        pattern = write_pattern(tmp_path, state_path)
+        rules = tmp_path / "rules.json"
+        rules.write_text(json.dumps([{
+            "precondition": {"type": "epoch_at_least", "epoch": 1},
+            "effect": {"type": "deposit_payload",
+                       "payload": {"index": 0, "position": [5, 5, 5], "magnitude": 3.0}},
+            "repeating": repeating,
+        }]))
+        runs = {}
+        for name, sessions in (("split", (3, 3)), ("straight", (6,))):
+            path, log = tmp_path / f"{name}.eden.json", tmp_path / f"{name}.session.jsonl"
+            shutil.copy(state_path, path)
+            for session, epochs in enumerate(sessions):
+                extra = ["--pattern", pattern] if session == 0 else []
+                assert main(["train", "--state", str(path), "--epochs", str(epochs),
+                             "--rules", str(rules), "--log", str(log), *extra]) == EXIT_OK
+            runs[name] = path.read_bytes(), log.read_bytes()
+        records = store.read_session_log(tmp_path / "straight.session.jsonl")
+        assert any(rec["spikes"] for rec in records)
+        assert [bool(rec["environment_events"]) for rec in records] == [
+            False, True, *[repeating] * 4]
+        assert runs["split"] == runs["straight"]
+
 
 NON_FINITE = "non-finite"  # stands for the number's JSON text until the state is written
 
@@ -286,6 +318,29 @@ class TestTrainRejectsBadInputBeforeEpochZero:
             "probe_id": 0, "position": [5, 5, 5], "cursor": 5, "frames": [frame, frame],
         }]}))
         self._train(tmp_path, state_path, "--pattern", str(pattern))
+
+    def test_pattern_that_is_a_list(self, tmp_path, state_path):
+        # a pattern file is one JSON object, even one that has only input probes
+        pattern = tmp_path / "pattern.json"
+        pattern.write_text(json.dumps([{
+            "probe_id": 0, "position": [5, 5, 5],
+            "frames": [[{"offset": [0, 0, 0], "index": 0, "magnitude": 2.0}]]}]))
+        self._train(tmp_path, state_path, "--pattern", str(pattern))
+
+    def test_repeated_output_probe_id_in_the_pattern(self, tmp_path, state_path):
+        # the epoch report keys readings by probe id: one probe's would be lost
+        pattern = tmp_path / "pattern.json"
+        probe = {"probe_id": 0, "position": [5, 5, 5], "radius": 1.0}
+        pattern.write_text(json.dumps({"output_probes": [probe, {**probe, "radius": 2.0}]}))
+        self._train(tmp_path, state_path, "--pattern", str(pattern))
+
+    def test_repeated_output_probe_id_in_the_state(self, tmp_path, state_path):
+        doc = json.load(open(state_path))
+        probe = {"history": [], "position": [5.0, 5.0, 5.0], "probe_id": 0, "radius": 1.0}
+        doc["entity"]["output_probes"] = [probe, {**probe, "radius": 2.0}]
+        with open(state_path, "w") as fh:
+            json.dump(doc, fh)
+        self._train(tmp_path, state_path)
 
     @pytest.mark.parametrize("token", ["NaN", "1e999"])
     @pytest.mark.parametrize("place", ["magnitude", "noise", "position", "offset"])

@@ -117,7 +117,7 @@ def test_random_entities_fixpoint_and_resume(run):
     entity.input_probes = [probe]
     entity.output_probes = [OutputProbe(probe_id=0, position=probe.position, radius=3.0)]
     if locked:
-        store.lock(entity)
+        store.set_locked(entity, True)
     with tempfile.TemporaryDirectory() as tmp:
         start, mid, a, b = (os.path.join(tmp, n) for n in ("start", "mid", "a", "b"))
         store.save(entity, start)

@@ -254,8 +254,8 @@ class TestRunEpoch:
     def test_locked_entity_propagates_only(self):
         entity = seed_entity(small_config(min_e=0.1, dr=0.0, mutation_rate=1.0))
         stimulus_probe(entity, magnitude=5.0)
-        from eden.store import lock
-        lock(entity)
+        from eden.store import set_locked
+        set_locked(entity, True)
         hashes = {fid: functome_hash(f) for fid, f in entity.functomes.items()}
         ids = set(entity.nodes)
         reports = [run_epoch(entity) for _ in range(10)]

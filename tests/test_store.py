@@ -100,17 +100,17 @@ class TestSaveLoad:
 class TestLock:
     def test_lock_flags_everything(self):
         entity = make_entity()
-        store.lock(entity)
+        store.set_locked(entity, True)
         assert entity.locked
         assert all(f.locked for f in entity.functomes.values())
-        store.unlock(entity)
+        store.set_locked(entity, False)
         assert not entity.locked
         assert not any(f.locked for f in entity.functomes.values())
 
     def test_lock_survives_save_load(self, tmp_path):
         path = str(tmp_path / "e.eden.json")
         entity = make_entity()
-        store.lock(entity)
+        store.set_locked(entity, True)
         store.save(entity, path)
         loaded = store.load(path)
         assert loaded.locked
