@@ -73,6 +73,16 @@ class SpikeEvent:
     node_id: int = -1
 
 
+def float_lattice(cells) -> np.ndarray:
+    """``cells`` as a C-contiguous float64 array, refused unless numpy reads
+    them as numbers: cast to float64 at once, it would read a string as the
+    number it spells and null as NaN. An integer past 64 bits is refused too."""
+    a = np.asarray(cells)
+    if a.dtype.kind not in "fiu":
+        raise StructureError(f"lattice cells must be numbers, not {a.dtype}")
+    return np.ascontiguousarray(a, dtype=np.float64)
+
+
 @dataclass
 class GoalPlane:
     """Backprop target: the propagation values at a reference spike plane."""
@@ -81,7 +91,7 @@ class GoalPlane:
     target_p: np.ndarray  # [X][Y]
 
     def __post_init__(self):
-        self.target_p = np.asarray(self.target_p, dtype=np.float64)
+        self.target_p = float_lattice(self.target_p)
 
 
 @dataclass
@@ -175,10 +185,8 @@ class PwrTensor:
         if dim_xy < 1 or dim_z < 1:
             raise StructureError(f"tensor dims must be >= 1, got {dim_xy}x{dim_xy}x{dim_z}")
         shape = (dim_xy, dim_xy, dim_z)
-        self.p = (np.zeros(shape) if self.p is None
-                  else np.ascontiguousarray(self.p, dtype=np.float64))
-        self.w = (np.ones(shape) if self.w is None
-                  else np.ascontiguousarray(self.w, dtype=np.float64))
+        self.p = np.zeros(shape) if self.p is None else float_lattice(self.p)
+        self.w = np.ones(shape) if self.w is None else float_lattice(self.w)
         if self.r is None:
             self.r = np.full(shape, CENTER, dtype=np.int8)
         else:
@@ -198,8 +206,7 @@ class PwrTensor:
             if not same or self.r.view(np.uint8).max(initial=0) >= len(ROUTER_OPTIONS):
                 raise StructureError(bad_routers)
         self.plane_energy_acc = (np.zeros(dim_z) if self.plane_energy_acc is None
-                                 else np.ascontiguousarray(self.plane_energy_acc,
-                                                           dtype=np.float64))
+                                 else float_lattice(self.plane_energy_acc))
         for name, arr, want in (("p", self.p, shape), ("w", self.w, shape), ("r", self.r, shape),
                                 ("plane_energy_acc", self.plane_energy_acc, (dim_z,))):
             if arr.shape != want:

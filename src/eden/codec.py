@@ -13,9 +13,10 @@ plan is built once and cached, so saving does no per-value type dispatch.
 
 Writing goes through `canonical_pieces`: ``json.dumps`` writes the document
 with a marker where each ``np.ndarray`` stands, and `lattice_text` writes each
-array with orjson's numpy serializer, the text spliced in at its marker.
-``encode`` hands arrays through uncopied, and ``decode`` copies an array it
-is handed, so a decoded object shares no memory with the original.
+array with orjson's numpy serializer, the text spliced in at its marker; an
+all-zero array's text is made once per shape. ``encode`` hands arrays, and
+every value written as it is, through uncopied, and ``decode`` copies an
+array it is handed, so a decoded object shares no memory with the original.
 
 Decoding refuses with ``TypeError`` or ``ValueError`` what a run could not
 save: another JSON type than the field's (an ``int`` takes only an integer, a
@@ -43,7 +44,8 @@ Number = typing.Union[int, float]
 
 
 def encode(obj) -> dict:
-    return {key: enc(getattr(obj, name)) for name, key, enc, _, _ in _plan(type(obj))}
+    return {key: getattr(obj, name) if enc is None else enc(getattr(obj, name))
+            for name, key, enc, _, _ in _plan(type(obj))}
 
 
 def decode(cls, data: dict, **refs):
@@ -91,14 +93,22 @@ def lattice_text(a: np.ndarray) -> str:
 
     orjson picks the same shortest round-trip digits as ``repr`` but writes
     ``0.00001`` for ``1e-05`` and ``1e16`` for ``1e+16``, so the values below
-    1e-4 or from 1e16 in magnitude are written again with ``repr``. Split on
-    commas, the text holds one value per piece, brackets included, in C order.
-    Refuses a non-finite value, which orjson would write as ``null``.
+    1e-4 or from 1e16 in magnitude are written again with ``repr``. orjson
+    writes each of them with an ``e`` or as ``0.0000…``, so a short text is
+    scanned for them only when it holds one of the two. Split on commas, the
+    text holds one value per piece, brackets included, in C order. Refuses a
+    non-finite value, which orjson writes as ``null``, the only text with an
+    ``n``. An array whose bits are all zero, every cell +0.0, has its shape's
+    cached text.
     """
+    if a.dtype.kind != "f":
+        return orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+    if not np.count_nonzero(a.view(np.uint64)):  # -0.0 has its sign bit set
+        return _zeros_text(a.shape)
     text = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)
-    if a.dtype.kind == "f":
-        if not np.isfinite(a).all():
-            raise ValueError("Out of range float values are not JSON compliant")
+    if b"n" in text:
+        raise ValueError("Out of range float values are not JSON compliant")
+    if len(text) > _SEARCH_BYTES or b"e" in text or b"0.0000" in text:
         magnitude = np.abs(a)
         rewrite = np.flatnonzero(((magnitude < 1e-4) & (a != 0)) | (magnitude >= 1e16))
         if rewrite.size:
@@ -108,6 +118,17 @@ def lattice_text(a: np.ndarray) -> str:
                 values[i] = values[i].replace(token, repr(float(token)).encode())
             text = b",".join(values)
     return text.decode()
+
+
+# A longer text is scanned without being searched first: on a 2-vCPU x86 host,
+# searching for b"0.0000" took about 0.9 ns a byte, the numpy scan about 5 us
+# plus 1 ns a value of about 20 bytes.
+_SEARCH_BYTES = 4096
+
+
+@functools.cache
+def _zeros_text(shape: tuple) -> str:
+    return orjson.dumps(np.zeros(shape), option=orjson.OPT_SERIALIZE_NUMPY).decode()
 
 
 def by_id(cls, ident: str) -> dict:
@@ -141,10 +162,6 @@ def _plan(cls) -> tuple:
                  for f in dataclasses.fields(cls) if f.init)
 
 
-def _identity(value):
-    return value
-
-
 def _copied(value):
     """A copy of an array, which `encode` hands through: a decoded object must
     not share memory with the one encoded. Nested lists, as loaded, pass."""
@@ -152,23 +169,35 @@ def _copied(value):
 
 
 def _optional(conv):
-    return lambda v: None if v is None else conv(v)
+    return None if conv is None else lambda v: None if v is None else conv(v)
 
 
-def _exactly(tp, value):
-    """``value`` if it is a ``tp``: an ``int`` is no ``bool`` and no ``float``."""
-    if type(value) is not tp:
-        raise TypeError(f"{value!r} is not a JSON {tp.__name__}")
-    return value
+def _exactly(tp):
+    """The decoder of a ``tp``, taking only that JSON type: an ``int`` is no
+    ``bool`` and no ``float``."""
+    def dec(value):
+        if type(value) is not tp:
+            raise TypeError(f"{value!r} is not a JSON {tp.__name__}")
+        return value
+    return dec
 
 
 def _number(value):
     """A finite number, kept an ``int`` or a ``float`` as JSON wrote it."""
+    if type(value) is float and -math.inf < value < math.inf:  # NaN fails both
+        return value
     if type(value) not in (int, float):
         raise TypeError(f"{value!r} is not a number")
     if not math.isfinite(value):  # an int too large for a float raises OverflowError
         raise ValueError(f"non-finite number {value!r}")
     return value
+
+
+def _float(value) -> float:
+    """A finite number as a ``float``."""
+    if type(value) is float and -math.inf < value < math.inf:
+        return value
+    return float(_number(value))
 
 
 def _rng(state: list) -> random.Random:
@@ -178,23 +207,39 @@ def _rng(state: list) -> random.Random:
     return rng
 
 
-def _free_form(conv):
-    """A free-form JSON decoder that refuses what `save` refuses: non-finite numbers."""
-    def dec(value):
-        value = conv(value)
-        try:
-            json.dumps(value, allow_nan=False)
-        except ValueError as exc:
-            raise ValueError(f"free-form JSON holding a non-finite number: {exc}") from exc
-        return value
-    return dec
+def _finite_json(value):
+    """``value``, refused with ``ValueError`` where a number in it is not
+    finite, at any depth: what ``json.dumps(value, allow_nan=False)`` refuses
+    of a value JSON parses to, walked with a stack instead of recursion."""
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, float):
+            if not -math.inf < item < math.inf:
+                raise ValueError(f"free-form JSON holding a non-finite number: {item!r}")
+        elif isinstance(item, dict):
+            stack.extend(item.values())
+        elif isinstance(item, (list, tuple)):
+            stack.extend(item)
+    return value
 
 
-def _sequence(origin, dec, length, value):
-    """``value`` decoded item by item; a fixed-length tuple's ``length`` is checked."""
-    if length is not None and len(value) != length:
-        raise ValueError(f"{value!r} does not hold {length} values")
-    return origin([dec(x) for x in value])
+def _sequence(origin, tp, length):
+    """The decoder of a list, tuple or set of ``tp``, which checks a
+    fixed-length tuple's ``length``. Items all of the exact type ``float``
+    (and finite), ``int``, ``bool`` or ``str`` are taken whole, checked by
+    C-level passes instead of a call per item."""
+    dec = converters(tp)[1]
+    plain, only = tp in (float, int, bool, str), frozenset((tp,))
+
+    def decode_items(value):
+        if length is not None and len(value) != length:
+            raise ValueError(f"{value!r} does not hold {length} values")
+        if plain and set(map(type, value)) <= only and (
+                tp is not float or all(map(math.isfinite, value))):
+            return origin(value)
+        return origin([dec(x) for x in value])
+    return decode_items
 
 
 def _int_keyed(dec, value) -> dict:
@@ -210,36 +255,37 @@ def _int_keyed(dec, value) -> dict:
 
 @functools.cache
 def converters(tp) -> tuple:
-    """The (encode, decode) pair for one field annotation."""
+    """The (encode, decode) pair for one field annotation; an encoder of
+    ``None`` writes the value as it is."""
     if dataclasses.is_dataclass(tp):
         return encode, functools.partial(decode, tp)
     if tp is float:
-        return float, lambda v: float(_number(v))
+        return float, _float
     if tp == Number:
-        return _identity, _number
+        return None, _number
     if tp in (int, bool, str):
-        return _identity, functools.partial(_exactly, tp)
+        return None, _exactly(tp)
     if tp is dict:  # a bare dict holds free-form JSON, copied on load
-        return _identity, _free_form(dict)
+        return None, lambda v: _finite_json(dict(v))
     if tp is list:  # a bare list holds free-form JSON
-        return _identity, _free_form(_identity)
+        return None, _finite_json
     if tp is np.ndarray:  # written by `lattice_text`; the constructor fixes the dtype
-        return _identity, _copied
+        return None, _copied
     if tp is random.Random:  # saved as [version, [state words], gauss]
         return (lambda rng: list(rng.getstate())), _rng
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is typing.Union and len(args) == 2 and type(None) in args:
         enc, dec = converters(next(a for a in args if a is not type(None)))
         return _optional(enc), _optional(dec)
-    if origin is set:
-        enc, dec = converters(args[0])
-        return (lambda v: sorted(enc(x) for x in v)), (lambda v: {dec(x) for x in v})
-    if origin in (list, tuple):
-        enc, dec = converters(args[0])
-        length = None if origin is list or args[-1] is Ellipsis else len(args)
-        return (lambda v: [enc(x) for x in v]), functools.partial(_sequence, origin, dec, length)
+    if origin in (list, tuple, set):  # a set is saved sorted
+        enc = converters(args[0])[0]
+        write = sorted if origin is set else list
+        length = len(args) if origin is tuple and args[-1] is not Ellipsis else None
+        return ((write if enc is None else lambda v: write(map(enc, v))),
+                _sequence(origin, args[0], length))
     if origin is dict and args[0] is int:  # JSON object keys are strings
         enc, dec = converters(args[1])
-        return ((lambda v: {str(k): enc(x) for k, x in v.items()}),
+        return ((lambda v: {str(k): x for k, x in v.items()}) if enc is None else
+                (lambda v: {str(k): enc(x) for k, x in v.items()}),
                 functools.partial(_int_keyed, dec))
     raise TypeError(f"no save-state converter for {tp!r}")

@@ -49,7 +49,8 @@ def read_json(path: str, error: type[InputError], lines: bool = False):
 
     Raises `error` from the `OSError` when the file cannot be opened or read,
     and from the `ValueError` when its bytes are not UTF-8 or not JSON, or hold
-    a `NaN`, `Infinity` or `-Infinity` token.
+    a `NaN`, `Infinity` or `-Infinity` token, or from the `RecursionError` when
+    its values nest deeper than the parser recurses.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -59,19 +60,20 @@ def read_json(path: str, error: type[InputError], lines: bool = False):
             return json.load(fh, parse_constant=_refuse_non_finite)
     except OSError as exc:
         raise error(f"{path} not found or not readable: {exc.strerror}") from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise error(f"malformed {path}: {exc}") from exc
 
 
 @contextmanager
 def refused_as(error: type[InputError], what: str):
     """Raise `error` for what building `what` from parsed JSON raises: a key
-    or index that is missing, or a value of the wrong type or out of range."""
+    or index that is missing, a value of the wrong type or out of range, or one
+    nested too deep to recurse through."""
     try:
         yield
     except InputError:
         raise
-    except (LookupError, TypeError, ValueError, OverflowError) as exc:
+    except (LookupError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise error(f"invalid {what}: {exc!r}") from exc
 
 

@@ -249,6 +249,17 @@ def with_weights(value):
     return damage
 
 
+def with_cell(key, value):
+    """A damage that sets the first cell of a saved CEM's lattice ``key`` to ``value``."""
+    def damage(cem):
+        cells = cem[key]
+        while isinstance(cells[0], list):
+            cells = cells[0]
+        cells[0] = value
+        return cem
+    return damage
+
+
 def with_routers(value):
     """A damage that sets every router of a saved CEM to ``value``."""
     def damage(cem):
@@ -376,6 +387,12 @@ class TestTrainRejectsBadInputBeforeEpochZero:
         ("cem", with_weights(float("nan"))),  # json writes the NaN token
         ("cem", with_weights(5.0)),  # weights lie in [0, 1]
         ("cem", with_weights(-2.0)),
+        ("cem", with_cell("w", "0.5911534350013039")),  # numpy would read the number
+        ("cem", with_cell("w", None)),
+        ("cem", with_cell("p", "0")),
+        ("cem", with_cell("plane_energy_acc", "0.0")),
+        ("goal", lambda v: {"z_index": 1, "target_p": [["0.5"] * 3] * 3}),
+        ("goal", lambda v: {"z_index": 1, "target_p": [[0.5, None, 0.5]] * 3}),
         ("cem", with_routers(-1)),  # would act as option 8
         ("cem", with_routers(0.5)),  # would truncate to option 0
         ("cem", with_routers(12)),  # would fail at the first route
@@ -387,7 +404,8 @@ class TestTrainRejectsBadInputBeforeEpochZero:
         ("allowed_arch_indices", lambda v: {"01": "Apoptosis"}),  # saved as "1"
     ], ids=["curr-2-bins", "prev-5-bins", "prev-negative-count", "10-dendrites",
             "goal-z-4", "goal-z-minus-1", "goal-2x2", "energy-cell-0.5",
-            "weights-nan", "weights-5.0", "weights-minus-2.0",
+            "weights-nan", "weights-5.0", "weights-minus-2.0", "weight-string", "weight-null",
+            "energy-cell-string", "plane-energy-string", "goal-string", "goal-null",
             "routers-minus-1", "routers-0.5", "routers-12", "routers-300",
             "soma-2-values", "dendrite-position-2-values", "terminal-position-4-values",
             "arch-indices-list", "arch-index-01"])
@@ -545,6 +563,9 @@ def valid_input(kind, tmp_path, state_path) -> str:
     return open(log).read()
 
 
+FIRST_NUMBER = r"(?<=:) ?-?\d+(\.\d+)?"
+
+
 def damage_input(path, kind, damage, text) -> None:
     """Leave at ``path`` a file of ``kind`` damaged as ``damage`` says."""
     if damage == "directory":
@@ -554,7 +575,9 @@ def damage_input(path, kind, damage, text) -> None:
     elif damage == "truncated":  # its closing bracket lost
         path.write_text(text.rstrip()[:-1])
     elif damage == "nan":  # the first number after a key becomes the NaN token
-        path.write_text(re.sub(r"(?<=:) ?-?\d+(\.\d+)?", "NaN", text, count=1))
+        path.write_text(re.sub(FIRST_NUMBER, "NaN", text, count=1))
+    elif damage == "nested":  # it becomes an array past the parser's recursion limit
+        path.write_text(re.sub(FIRST_NUMBER, "[" * 5000 + "]" * 5000, text, count=1))
     elif damage == "wrong-type":
         path.write_text({"state": "[]", "config": "[]", "pattern": '"p"',
                          "rules": "[1]"}[kind])
@@ -583,7 +606,7 @@ VALUE_DAMAGES = {
 INPUT_DAMAGES = [(kind, damage)
                  for kind in ("state", "config", "pattern", "rules", "log")
                  for damage in ("missing", "directory", "not-utf-8", "truncated", "nan",
-                                "wrong-type")
+                                "nested", "wrong-type")
                  if (kind, damage) != ("log", "wrong-type")] + [
     (kind, damage) for damage, (kind, _) in VALUE_DAMAGES.items()]
 

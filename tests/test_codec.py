@@ -1,6 +1,8 @@
 """The canonical writer against the one it replaced: `json.dumps` writing each
 array through `tolist`, kept here as the oracle of the save-state bytes."""
+import functools
 import json
+import math
 import os
 import random
 
@@ -10,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from eden import store
-from eden.cem import PwrTensor
+from eden.cem import GoalPlane, PwrTensor
 from eden.codec import converters, decode, dumps_canonical, encode, lattice_text
 from eden.config import EngineConfig
 from eden.functome import Functome
@@ -72,10 +74,25 @@ class TestLatticeText:
     def test_routers_as_the_oracle_writes_them(self, a):
         assert lattice_text(a) == oracle(a)
 
+    @pytest.mark.parametrize("shape", [(1,), (7,), (3, 3), (4, 4, 8), (8, 8, 64)])
+    def test_zero_lattices_as_the_oracle_writes_them(self, shape):
+        a = np.zeros(shape)
+        assert lattice_text(a) == oracle(a)
+        a.reshape(-1)[-1] = -0.0  # equal to +0.0, but written with its sign
+        assert lattice_text(a) == oracle(a)
+        assert lattice_text(a).endswith("-0.0" + "]" * len(shape))
+
+    @given(hnp.arrays(np.float64, shapes, elements=st.sampled_from(
+        [0.0, -0.0, 0.5, 10.00001, 3e-5, 1e-7, 2e17, *EDGES])))
+    @example(np.array([10.00001, 0.5, 100.00002]))  # 0.0000 in a text scanned for nothing
+    def test_zeros_among_other_cells_as_the_oracle_writes_them(self, a):
+        assert lattice_text(a) == oracle(a)
+
+    @pytest.mark.parametrize("cells", [[0.5], [0.0], [-0.0], [3e-5], [0.5] * 999])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_refused(self, bad):
+    def test_non_finite_refused(self, bad, cells):
         with pytest.raises(ValueError):
-            lattice_text(np.array([[0.5, bad]]))
+            lattice_text(np.array([cells + [bad]]))
 
 
 # the marker strings `canonical_pieces` tries first, and one hidden behind an
@@ -127,13 +144,25 @@ class TestSave:
         path = tmp_path_factory.mktemp("save") / "e.eden.json"
         assert saved(entity, path) == oracle_save(entity)
 
-    def test_non_finite_weight_refused_before_the_file_is_touched(self, tmp_path):
+    @pytest.mark.parametrize("place", ["weight", "goal"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cell_refused_before_the_file_is_touched(self, tmp_path, monkeypatch,
+                                                                 place, bad):
         entity = seed_entity(EngineConfig(initial_nodes=2, dim_xy=2, dim_z=3, seed=4))
         path = tmp_path / "e.eden.json"
         before = saved(entity, path)
-        entity.nodes[0].cem.w[1, 0, 2] = np.nan
+        node = entity.nodes[0]
+        if place == "weight":
+            node.cem.w[1, 0, 2] = bad
+        else:  # among +0.0 cells
+            node.goal = GoalPlane(z_index=1, target_p=np.zeros((2, 2)))
+            node.goal.target_p[1, 1] = bad
+        opened = []
+        monkeypatch.setattr(store, "open", lambda *args, **kw: opened.append(args[0]),
+                            raising=False)
         with pytest.raises(ValueError):
             store.save(entity, str(path))
+        assert opened == []
         assert os.listdir(tmp_path) == ["e.eden.json"]
         assert path.read_bytes() == before
 
@@ -170,3 +199,69 @@ class TestDecodeCopies:
                              (copy.cem.p, node.cem.p),
                              (copy.goal.target_p, node.goal.target_p)):
             assert not np.shares_memory(mine, theirs)
+
+
+def refused(dec, value) -> bool:
+    try:
+        dec(value)
+    except ValueError:
+        return True
+    return False
+
+
+# JSON trees as `json.loads` returns them, with inf and NaN at random depths
+json_trees = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=3)
+    | st.floats() | st.sampled_from([math.inf, -math.inf, math.nan]),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=3), children, max_size=4)),
+    max_leaves=30)
+
+
+def nested(depth: int, inner) -> list:
+    """``inner`` inside ``depth`` lists."""
+    for _ in range(depth):
+        inner = [inner]
+    return inner
+
+
+class TestFreeForm:
+    """A bare ``list`` or ``dict`` field holds free-form JSON."""
+
+    @given(json_trees)
+    @example(nested(30, {"a": [1.0, math.inf]}))
+    @example({"a": [0.5, {"b": [math.nan]}], "c": "x"})
+    def test_refuses_what_json_dumps_refuses(self, tree):
+        dumps = functools.partial(json.dumps, allow_nan=False)
+        assert refused(converters(list)[1], tree) == refused(dumps, tree)
+        assert refused(converters(dict)[1], {"k": tree}) == refused(dumps, tree)
+
+    def test_nested_deeper_than_the_recursion_limit(self):
+        deep = nested(5000, [0.5, "x"])
+        assert converters(list)[1](deep) is deep
+        assert converters(dict)[1]({"k": deep}) == {"k": deep}
+        with pytest.raises(ValueError):
+            converters(list)[1](nested(5000, [0.5, math.inf]))
+
+
+def outcome(dec, value):
+    """What ``dec`` returns, each item with its type, or the type of what it raises."""
+    try:
+        return [(type(x), x) for x in dec(value)]
+    except (TypeError, ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+class TestSequences:
+    """A sequence of plain values, taken whole when every item has the exact
+    type, decodes as the item decoder decodes it item by item."""
+
+    @given(st.sampled_from([float, int, bool, str]),
+           st.lists(st.floats() | st.integers() | st.booleans() | st.text(max_size=2)
+                    | st.none(), max_size=5))
+    @example(float, [0.5, math.inf])
+    @example(float, [1e308, 1e308])
+    def test_as_item_by_item(self, tp, items):
+        item = converters(tp)[1]
+        assert outcome(converters(list[tp])[1], items) == outcome(
+            lambda v: [item(x) for x in v], items)

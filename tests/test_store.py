@@ -6,7 +6,7 @@ import os
 import pytest
 
 from eden.config import EngineConfig
-from eden.runner import OutputProbe, run_epoch, seed_entity
+from eden.runner import OutputProbe, input_probe_from_spec, run_epoch, seed_entity
 from eden import store
 
 
@@ -62,6 +62,16 @@ class TestSaveLoad:
         path.write_text("{truncated")
         with pytest.raises(store.SaveStateError, match="malformed"):
             store.load(str(path))
+
+    def test_value_too_deep_to_print_refused_as_input(self):
+        """A decoder's message prints the value it refuses, which may be nested
+        deeper than ``repr`` recurses."""
+        position = []
+        for _ in range(5000):
+            position = [position]
+        with pytest.raises(store.InputError, match="RecursionError"):
+            with store.refused_as(store.InputError, "pattern"):
+                input_probe_from_spec({"probe_id": 0, "position": position, "frames": []})
 
     def test_version_gate(self, tmp_path):
         path = str(tmp_path / "e.eden.json")
