@@ -2,20 +2,22 @@
 
 Continuous coordinates; the pid-keyed payload dict is the single source of
 truth, and the save state and tracing read it. It is stored in pid order:
-`NeuralGrid.__post_init__` sorts the payloads it is given, and `new_payload`
-numbers each later payload above every earlier one, so a commit adds at the
-end. Deposits and removals are staged and applied at an explicit commit
-barrier, so every query between two commits sees the same frozen state. Payloads change only in `commit` and
-`decay_and_expire`; both drop what the queries derived from them, and the
-first query after a change derives its own structure again: uniform-cell
-buckets of (pid, position) nested `cx -> cy -> cz`, the same buckets per
-transmitter index holding transmitters only, or per-index lists of (position,
-magnitude) in pid order. Each structure is built at most once between two
-changes, and only if a query reads it. A dendrite collects through `query_radius` restricted to the transmitter
-indices it accepts, so it reads only the buckets of those indices; an
-unrestricted query reads every payload kind. Callers that need one
-neighbourhood several times between commits read it once and pass the list
-on.
+`NeuralGrid.__post_init__` sorts the payloads it is given, and `stage` numbers
+each later payload above every earlier one, so a commit adds at the end.
+`stage` clamps, numbers, builds and queues each payload a probe, a spike or a
+deposit rule makes in one call. Deposits and removals are staged and applied
+at an explicit commit barrier, so every query between two commits sees the
+same frozen state.
+Payloads change only in `commit` and `decay_and_expire`; both drop what the
+queries derived from them, and the first query after a change derives its own
+structure again: uniform-cell buckets of (pid, position) nested
+`cx -> cy -> cz`, the same buckets per transmitter index holding transmitters
+only, or per-index lists of (position, magnitude) in pid order. Each structure
+is built at most once between two changes, and only if a query reads it. A
+dendrite collects through `query_radius` restricted to the transmitter indices
+it accepts, so it reads only the buckets of those indices; an unrestricted
+query reads every payload kind. Callers that need one neighbourhood several
+times between commits read it once and pass the list on.
 
 A radius query computes its cell range inline, `floor((c - r) / cell_size)`
 to `floor((c + r) / cell_size)` per axis, the same floor `_buckets` uses to
@@ -42,7 +44,7 @@ _NUMBERS = (int, float)
 
 
 class GridError(ValueError):
-    """Out-of-bounds deposit or malformed payload."""
+    """A payload outside the grid bounds, or malformed."""
 
 
 @dataclass
@@ -108,22 +110,29 @@ class NeuralGrid:
         return all(map(le, self.bounds_min, pos)) and all(map(le, pos, self.bounds_max))
 
     def clamp(self, pos) -> tuple[float, float, float]:
-        return tuple(map(min, map(max, pos, self.bounds_min), self.bounds_max))
+        """``pos`` moved into the grid per axis, as floats. A coordinate on a
+        bound keeps its own value, signed zero included, and a NaN passes."""
+        x, y, z = pos
+        lo0, lo1, lo2 = self.bounds_min
+        hi0, hi1, hi2 = self.bounds_max
+        return (float(lo0 if x < lo0 else hi0 if x > hi0 else x),
+                float(lo1 if y < lo1 else hi1 if y > hi1 else y),
+                float(lo2 if z < lo2 else hi2 if z > hi2 else z))
 
-    def new_payload(self, kind: str, index: int, position, magnitude: float,
-                    ttl: int, properties: Optional[dict] = None) -> TransArchPayload:
-        pl = TransArchPayload(pid=self.next_pid, kind=kind, index=index,
-                              position=tuple(map(float, position)),
-                              magnitude=float(magnitude), ttl=int(ttl),
-                              properties=dict(properties or {}))
+    def stage(self, kind: str, index: int, position, magnitude: float, ttl: int,
+              properties: Optional[dict] = None) -> None:
+        """Build a payload at ``position`` clamped into the grid, numbered
+        ``next_pid``, and queue it for the next commit: the one way a payload
+        enters the grid. Its position and magnitude are floats, and it holds
+        ``properties`` itself, not a copy. A NaN coordinate is refused.
+        """
+        pos = x, y, z = self.clamp(position)
+        if x != x or y != y or z != z:
+            raise GridError(f"payload position {pos} outside grid bounds")
+        self._pending_deposits.append(TransArchPayload(
+            self.next_pid, kind, index, pos, float(magnitude), ttl,
+            {} if properties is None else properties))
         self.next_pid += 1
-        return pl
-
-    def deposit(self, payload: TransArchPayload) -> None:
-        """Queue a payload; it becomes visible only after the next commit."""
-        if not self.in_bounds(payload.position):
-            raise GridError(f"payload position {payload.position} outside grid bounds")
-        self._pending_deposits.append(payload)
 
     def remove(self, pid: int) -> None:
         self._pending_removals.append(pid)

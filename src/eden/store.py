@@ -208,7 +208,7 @@ class EnvironmentControlRule:
         Every key they read must be present, and each value is decoded by the
         codec's rule for its type: a number threshold, an integer `probe_id`, a
         boolean `repeating`. A deposit decodes the `TransArchPayload` `apply`
-        deposits, whose position must lie inside the grid.
+        stages, whose position must lie inside the grid.
         """
         if not isinstance(d, dict):
             raise RuleError(f"a rule is a JSON object, got {d!r}")
@@ -227,7 +227,7 @@ class EnvironmentControlRule:
             elif kind == "remove_input_probe":
                 _decode_int(e["probe_id"])
             else:  # deposit_payload
-                payload = _deposited(e["payload"], pid=-1, ttl=0)
+                payload = _deposited(e["payload"], ttl=0)
                 if not grid.in_bounds(payload.position):
                     raise ValueError(f"position {payload.position} is not inside the grid")
             repeating = _decode_bool(d.get("repeating", False))
@@ -252,19 +252,19 @@ class EnvironmentControlRule:
         elif kind == "remove_input_probe":
             entity.input_probes = [p for p in entity.input_probes
                                    if p.probe_id != e["probe_id"]]
-        else:  # deposit_payload, with the grid's next pid
-            grid = entity.grid
-            grid.deposit(_deposited(e["payload"], grid.next_pid, entity.config.payload_ttl))
-            grid.next_pid += 1
-            grid.commit()
+        else:  # deposit_payload: inside the grid, as `from_dict` checked, so staged unclamped
+            pl = _deposited(e["payload"], entity.config.payload_ttl)
+            entity.grid.stage(pl.kind, pl.index, pl.position, pl.magnitude, pl.ttl, pl.properties)
+            entity.grid.commit()
         return {"precondition": self.precondition, "effect": self.effect}
 
 
-def _deposited(spec: dict, pid: int, ttl: int) -> TransArchPayload:
+def _deposited(spec: dict, ttl: int) -> TransArchPayload:
     """A deposit rule's payload as the codec decodes it: a transmitter with no
-    properties and ``ttl`` unless ``spec`` names them."""
+    properties and ``ttl`` unless ``spec`` names them. Its pid is -1; the grid
+    numbers what `apply` stages from it."""
     return decode(TransArchPayload, {"kind": TRANSMITTER, "ttl": ttl, "properties": {},
-                                     **spec, "pid": pid})
+                                     **spec, "pid": -1})
 
 
 def load_rules(path: str, grid: NeuralGrid) -> list[EnvironmentControlRule]:

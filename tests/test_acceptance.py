@@ -300,10 +300,9 @@ def test_criterion_10_spatial_queries_against_oracles(capsys):
             grid = NeuralGrid((0, 0, 0), (10, 10, 10),
                               cell_size=rng.choice([0.5, 1.0, 2.0, 4.0]))
             for _ in range(rng.randint(0, 120)):
-                grid.deposit(grid.new_payload(
-                    TRANSMITTER, rng.randrange(4),
-                    tuple(rng.uniform(0, 10) for _ in range(3)),
-                    rng.uniform(0.1, 2.0), 3))
+                grid.stage(TRANSMITTER, rng.randrange(4),
+                           tuple(rng.uniform(0, 10) for _ in range(3)),
+                           rng.uniform(0.1, 2.0), 3)
             grid.commit()
             for _ in range(25):
                 center = tuple(rng.uniform(0, 10) for _ in range(3))
@@ -318,9 +317,8 @@ def test_criterion_10_spatial_queries_against_oracles(capsys):
 
         grid = NeuralGrid((0, 0, 0), (10, 10, 10), cell_size=2.0)
         for _ in range(40):
-            grid.deposit(grid.new_payload(
-                TRANSMITTER, 1, tuple(rng.uniform(0, 10) for _ in range(3)),
-                rng.uniform(0.5, 2.0), 3))
+            grid.stage(TRANSMITTER, 1, tuple(rng.uniform(0, 10) for _ in range(3)),
+                       rng.uniform(0.5, 2.0), 3)
         grid.commit()
         h = 1e-5
         for _ in range(20):

@@ -170,8 +170,8 @@ class TestSave:
     def test_property_equal_to_a_marker_saved_as_the_oracle_writes_it(self, tmp_path, text):
         entity = seed_entity(EngineConfig(initial_nodes=2, dim_xy=2, dim_z=3, seed=4))
         grid = entity.grid
-        grid.deposit(grid.new_payload(TRANSMITTER, 0, (1.0, 1.0, 1.0), 1.0, 3,
-                                      properties={"note": text, "excitatory": 1}))
+        grid.stage(TRANSMITTER, 0, (1.0, 1.0, 1.0), 1.0, 3,
+                   properties={"note": text, "excitatory": 1})
         grid.commit()
         data = saved(entity, tmp_path / "e.eden.json")
         assert data == oracle_save(entity)

@@ -120,7 +120,7 @@ class TestPrerequisites:
         entity, node = fresh_node()
         grid = entity.grid
         for _ in range(2):
-            grid.deposit(grid.new_payload(TRANSMITTER, 5, node.soma_position, 1.0, 3))
+            grid.stage(TRANSMITTER, 5, node.soma_position, 1.0, 3)
         grid.commit()
         present = self._gene("TransmitterPresent", index=5)
         absent = self._gene("TransmitterPresent", index=6)
@@ -134,11 +134,11 @@ class TestPrerequisites:
     def test_architector_presence_distinct_from_transmitter(self):
         entity, node = fresh_node()
         grid = entity.grid
-        grid.deposit(grid.new_payload(TRANSMITTER, 1, node.soma_position, 1.0, 3))
+        grid.stage(TRANSMITTER, 1, node.soma_position, 1.0, 3)
         grid.commit()
         gene = self._gene("ArchitectorPresent", index=1)
         assert not check_prerequisite(gene, node, nearby(grid, node), 0)
-        grid.deposit(grid.new_payload(ARCHITECTOR, 1, node.soma_position, 1.0, 3))
+        grid.stage(ARCHITECTOR, 1, node.soma_position, 1.0, 3)
         grid.commit()
         assert check_prerequisite(gene, node, nearby(grid, node), 0)
 

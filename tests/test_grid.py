@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eden.codec import decode, encode
-from eden.grid import ARCHITECTOR, TRANSMITTER, GridError, NeuralGrid
+from eden.grid import ARCHITECTOR, TRANSMITTER, GridError, NeuralGrid, TransArchPayload
 
 from test_acceptance import density
 
@@ -57,26 +57,58 @@ def reference_density_gradient(grid, pos, index, sigma=1.0):
 class TestDeposit:
     def test_invisible_before_commit(self):
         g = make_grid()
-        g.deposit(g.new_payload(TRANSMITTER, 0, (5, 5, 5), 1.0, 3))
+        g.stage(TRANSMITTER, 0, (5, 5, 5), 1.0, 3)
         assert g.query_radius((5, 5, 5), 0.1) == []
 
     def test_visible_after_commit(self):
         g = make_grid()
-        g.deposit(g.new_payload(TRANSMITTER, 0, (5, 5, 5), 1.0, 3))
+        g.stage(TRANSMITTER, 0, (5, 5, 5), 1.0, 3)
         g.commit()
         assert len(g.query_radius((5, 5, 5), 0.1)) == 1
 
     def test_out_of_bounds_rejected(self):
+        # staging clamps, so only a grid built from saved payloads can hold one
+        outside = TransArchPayload(0, TRANSMITTER, 0, (11.0, 5.0, 5.0), 1.0, 3)
+        with pytest.raises(GridError, match="outside the grid bounds"):
+            NeuralGrid((0, 0, 0), (10, 10, 10), next_pid=1, payloads={0: outside})
+
+    def test_staged_payload_is_clamped_numbered_and_float_typed(self):
+        g = make_grid()
+        g.next_pid = 7
+        g.stage(TRANSMITTER, 2, (11, -3, 5), 2, 3, {"excitatory": -1})
+        assert g.next_pid == 8
+        g.commit()
+        assert list(g.payloads) == [7]
+        pl = g.payloads[7]
+        assert (pl.position, pl.magnitude, pl.properties) == ((10.0, 0.0, 5.0), 2.0,
+                                                              {"excitatory": -1})
+        assert {type(v) for v in (*pl.position, pl.magnitude)} == {float}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(*[st.one_of(st.floats(allow_nan=False), st.integers(-20, 20),
+                                 st.sampled_from([0.0, -0.0, 10.0]))] * 3))
+    def test_clamp_is_min_of_max(self, position):
+        # bit for bit, signed zeros included, as floats: the definition the
+        # reference digests were recorded with
+        g = NeuralGrid((-0.0, 0, 0), (10, 10, 10))
+        expected = [float(min(max(c, lo), hi))
+                    for c, lo, hi in zip(position, g.bounds_min, g.bounds_max)]
+        assert list(map(repr, g.clamp(position))) == list(map(repr, expected))
+
+    @pytest.mark.parametrize("position", [(math.nan, 5, 5), (5, 5, math.nan)])
+    def test_nan_coordinate_rejected(self, position):
         g = make_grid()
         with pytest.raises(GridError):
-            g.deposit(g.new_payload(TRANSMITTER, 0, (11, 5, 5), 1.0, 3))
+            g.stage(TRANSMITTER, 0, position, 1.0, 3)
         g.commit()
-        assert g.payloads == {}
+        assert g.payloads == {} and g.next_pid == 0
 
     def test_nonpositive_magnitude_rejected(self):
         g = make_grid()
         with pytest.raises(GridError):
-            g.new_payload(TRANSMITTER, 0, (1, 1, 1), 0.0, 3)
+            g.stage(TRANSMITTER, 0, (1, 1, 1), 0.0, 3)
+        g.commit()
+        assert g.payloads == {} and g.next_pid == 0
 
 
 class TestQueryRadius:
@@ -85,7 +117,7 @@ class TestQueryRadius:
 
     def test_distance_cutoff(self):
         g = make_grid()
-        g.deposit(g.new_payload(TRANSMITTER, 0, (5, 5, 7), 1.0, 3))
+        g.stage(TRANSMITTER, 0, (5, 5, 7), 1.0, 3)
         g.commit()
         assert g.query_radius((5, 5, 5), 1.0) == []
         assert len(g.query_radius((5, 5, 5), 2.0)) == 1
@@ -96,8 +128,8 @@ class TestQueryRadius:
             g = make_grid(cell_size=rng.choice([0.5, 1.0, 2.0, 5.0]))
             for _ in range(100):
                 pos = tuple(rng.uniform(0, 10) for _ in range(3))
-                g.deposit(g.new_payload(TRANSMITTER, rng.randrange(4), pos,
-                                        rng.uniform(0.1, 2.0), 3))
+                g.stage(TRANSMITTER, rng.randrange(4), pos,
+                        rng.uniform(0.1, 2.0), 3)
             g.commit()
             for _ in range(5):
                 center = tuple(rng.uniform(0, 10) for _ in range(3))
@@ -116,7 +148,7 @@ class TestQueryRadius:
         spots = [(x, y, 4.0) for x in (-2.0, 0.0, 2.0, 4.0, 6.0) for y in (-2.0, 2.0, 4.0)]
         for i, pos in enumerate(spots + [(-1.5, -1.5, 4.0)]):
             kind = ARCHITECTOR if i % 3 == 2 else TRANSMITTER
-            g.deposit(g.new_payload(kind, i % 2, pos, 1.0, 3))
+            g.stage(kind, i % 2, pos, 1.0, 3)
         g.commit()
         queries = [((4, 4, 4), 2), ((4.0, 2.0, 4.0), 2.0), ((2.0, 2.0, 6.0), 2.0),
                    ((-4.0, 4.0, 4.0), 2.0), ((-1.0, 2.0, 4.0), 3.0), ((0.0, -4.0, 2.0), 2.0),
@@ -138,11 +170,11 @@ class TestQueryRadius:
         g = make_grid()
         rng = random.Random(2)
         for _ in range(20):
-            g.deposit(g.new_payload(TRANSMITTER, 0,
-                                    tuple(rng.uniform(0, 10) for _ in range(3)), 1.0, 3))
+            g.stage(TRANSMITTER, 0,
+                    tuple(rng.uniform(0, 10) for _ in range(3)), 1.0, 3)
         g.commit()
         a = [pl.pid for pl in g.query_radius((5, 5, 5), 4.0)]
-        g.deposit(g.new_payload(TRANSMITTER, 0, (5, 5, 5), 1.0, 3))  # staged only
+        g.stage(TRANSMITTER, 0, (5, 5, 5), 1.0, 3)  # staged only
         b = [pl.pid for pl in g.query_radius((5, 5, 5), 4.0)]
         assert a == b
 
@@ -150,19 +182,19 @@ class TestQueryRadius:
 class TestDensityGradient:
     def test_no_matching_payloads(self):
         g = make_grid()
-        g.deposit(g.new_payload(TRANSMITTER, 1, (5, 5, 5), 1.0, 3))
+        g.stage(TRANSMITTER, 1, (5, 5, 5), 1.0, 3)
         g.commit()
         assert g.density_gradient((5, 5, 5), index=7) == (0.0, 0.0, 0.0)
 
     def test_at_kernel_peak(self):
         g = make_grid()
-        g.deposit(g.new_payload(TRANSMITTER, 1, (5, 5, 5), 1.0, 3))
+        g.stage(TRANSMITTER, 1, (5, 5, 5), 1.0, 3)
         g.commit()
         assert g.density_gradient((5, 5, 5), 1) == pytest.approx((0.0, 0.0, 0.0))
 
     def test_points_toward_source(self):
         g = make_grid()
-        g.deposit(g.new_payload(TRANSMITTER, 1, (7, 5, 5), 2.0, 3))
+        g.stage(TRANSMITTER, 1, (7, 5, 5), 2.0, 3)
         g.commit()
         gx, gy, gz = g.density_gradient((5, 5, 5), 1)
         assert gx > 0
@@ -173,9 +205,9 @@ class TestDensityGradient:
         rng = random.Random(3)
         g = make_grid()
         for _ in range(25):
-            g.deposit(g.new_payload(TRANSMITTER, 1,
-                                    tuple(rng.uniform(0, 10) for _ in range(3)),
-                                    rng.uniform(0.5, 2.0), 3))
+            g.stage(TRANSMITTER, 1,
+                    tuple(rng.uniform(0, 10) for _ in range(3)),
+                    rng.uniform(0.5, 2.0), 3)
         g.commit()
         h = 1e-5
         for _ in range(10):
@@ -194,14 +226,14 @@ class TestDensityGradient:
 class TestDecayAndExpire:
     def test_ttl_zero_removed_next_tick(self):
         g = make_grid()
-        g.deposit(g.new_payload(TRANSMITTER, 0, (5, 5, 5), 1.0, 0))
+        g.stage(TRANSMITTER, 0, (5, 5, 5), 1.0, 0)
         g.commit()
         assert g.decay_and_expire(1.0) == 1
         assert g.payloads == {}
 
     def test_magnitude_halved(self):
         g = make_grid()
-        g.deposit(g.new_payload(TRANSMITTER, 0, (5, 5, 5), 2.0, 10))
+        g.stage(TRANSMITTER, 0, (5, 5, 5), 2.0, 10)
         g.commit()
         g.decay_and_expire(0.5)
         assert next(iter(g.payloads.values())).magnitude == pytest.approx(1.0)
@@ -209,7 +241,7 @@ class TestDecayAndExpire:
     def test_no_decay_keeps_everything(self):
         g = make_grid()
         for i in range(5):
-            g.deposit(g.new_payload(ARCHITECTOR, i, (5, 5, 5), 1.0, 100))
+            g.stage(ARCHITECTOR, i, (5, 5, 5), 1.0, 100)
         g.commit()
         assert g.decay_and_expire(1.0) == 0
         assert len(g.payloads) == 5
@@ -222,7 +254,7 @@ class TestDecayAndExpire:
         """With an epsilon of 0 a magnitude can underflow to 0.0, which a
         payload may not hold: it expires, so the grid still saves and loads."""
         g = make_grid()
-        g.deposit(g.new_payload(TRANSMITTER, 0, (5, 5, 5), 1.0, 10))
+        g.stage(TRANSMITTER, 0, (5, 5, 5), 1.0, 10)
         g.commit()
         assert g.decay_and_expire(1e-300, epsilon_magnitude=0.0) == 0
         assert g.decay_and_expire(1e-300, epsilon_magnitude=0.0) == 1
@@ -234,9 +266,9 @@ class TestConservation:
         g = make_grid()
         rng = random.Random(4)
         for _ in range(30):
-            g.deposit(g.new_payload(TRANSMITTER, 0,
-                                    tuple(rng.uniform(0, 10) for _ in range(3)),
-                                    1.0, rng.randrange(3)))
+            g.stage(TRANSMITTER, 0,
+                    tuple(rng.uniform(0, 10) for _ in range(3)),
+                    1.0, rng.randrange(3))
         g.commit()
         start = len(g.payloads)
         consumed_ids = list(g.payloads)[:10]
@@ -250,10 +282,10 @@ class TestConservation:
 class TestPersistence:
     def test_roundtrip(self):
         g = make_grid()
-        g.deposit(g.new_payload(TRANSMITTER, 2, (1, 2, 3), 1.5, 4,
-                                properties={"excitatory": -1}))
-        g.deposit(g.new_payload(ARCHITECTOR, 0, (4, 5, 6), 0.5, 2,
-                                properties={"target_action": "Apoptosis"}))
+        g.stage(TRANSMITTER, 2, (1, 2, 3), 1.5, 4,
+                properties={"excitatory": -1})
+        g.stage(ARCHITECTOR, 0, (4, 5, 6), 0.5, 2,
+                properties={"target_action": "Apoptosis"})
         g.commit()
         g2 = decode(NeuralGrid, encode(g))
         assert encode(g2) == encode(g)
@@ -295,7 +327,7 @@ class TestAgainstReference:
         for op in ops:
             if op[0] == "deposit":
                 for kind, pos, index, mag, ttl in op[1]:
-                    g.deposit(g.new_payload(kind, index, pos, mag, ttl))
+                    g.stage(kind, index, pos, mag, ttl)
             elif op[0] == "remove":
                 g.remove(op[1])
             elif op[0] == "commit":
@@ -314,16 +346,16 @@ class TestAgainstReference:
 
     def test_query_sees_the_next_commit(self):
         g = make_grid()
-        g.deposit(g.new_payload(TRANSMITTER, 0, (5, 5, 5), 1.0, 3))
+        g.stage(TRANSMITTER, 0, (5, 5, 5), 1.0, 3)
         g.commit()
         assert [pl.pid for pl in g.query_radius((5, 5, 5), 1.0)] == [0]
-        g.deposit(g.new_payload(TRANSMITTER, 0, (5, 5, 5.5), 1.0, 3))
+        g.stage(TRANSMITTER, 0, (5, 5, 5.5), 1.0, 3)
         g.commit()
         assert [pl.pid for pl in g.query_radius((5, 5, 5), 1.0)] == [0, 1]
 
     def test_gradient_sees_decayed_magnitudes(self):
         g = make_grid()
-        g.deposit(g.new_payload(TRANSMITTER, 1, (6, 5, 5), 2.0, 10))
+        g.stage(TRANSMITTER, 1, (6, 5, 5), 2.0, 10)
         g.commit()
         before = g.density_gradient((5, 5, 5), 1)
         g.decay_and_expire(0.5)
@@ -334,7 +366,7 @@ class TestAgainstReference:
     def test_mutating_a_result_leaves_the_next_unchanged(self):
         g = make_grid()
         for x in (4.5, 5.5):
-            g.deposit(g.new_payload(TRANSMITTER, 0, (x, 5, 5), 1.0, 3))
+            g.stage(TRANSMITTER, 0, (x, 5, 5), 1.0, 3)
         g.commit()
         first = g.query_radius((5, 5, 5), 1.0)
         first.clear()

@@ -113,6 +113,10 @@ class TestStabilityIndex:
         *[st.lists(st.one_of(st.integers(0, 3), st.integers(0, 5000)), min_size=n, max_size=n)] * 2)))
     @example(([400, 0, 0, 0], [0, 0, 0, 400]))
     @example(([9000] + [0] * 15, [0] * 15 + [9000]))
+    @example(([1, 0], [0, 1]))  # (1 + 1) * 3 == 2 * 3: at the bound, one p / q is 2
+    @example(([1, 0], [0, 2]))  # one count past it: (1 + 1) * 4 > 2 * 3
+    @example(([1] + [0] * 63, [0] * 63 + [1]))  # one spike per epoch in 64 planes
+    @example(([], []))
     def test_exactly_the_bin_order_loop(self, pair):
         # small and large counts side by side give concentrated histograms, KL >= 1
         a, b = pair
@@ -147,7 +151,7 @@ class TestCollectInputs:
 
     def test_accepted_index_consumed(self):
         grid = make_grid()
-        grid.deposit(grid.new_payload(TRANSMITTER, 3, (5, 5, 5), 1.25, 3))
+        grid.stage(TRANSMITTER, 3, (5, 5, 5), 1.25, 3)
         grid.commit()
         node = self._node_with_dendrite({3})
         deposits, consumed = node.collect_inputs(grid, set())
@@ -157,7 +161,7 @@ class TestCollectInputs:
 
     def test_wrong_index_ignored(self):
         grid = make_grid()
-        grid.deposit(grid.new_payload(TRANSMITTER, 2, (5, 5, 5), 1.0, 3))
+        grid.stage(TRANSMITTER, 2, (5, 5, 5), 1.0, 3)
         grid.commit()
         node = self._node_with_dendrite({3})
         deposits, consumed = node.collect_inputs(grid, set())
@@ -166,7 +170,7 @@ class TestCollectInputs:
 
     def test_claimed_payload_not_double_consumed(self):
         grid = make_grid()
-        grid.deposit(grid.new_payload(TRANSMITTER, 3, (5, 5, 5), 1.0, 3))
+        grid.stage(TRANSMITTER, 3, (5, 5, 5), 1.0, 3)
         grid.commit()
         claimed = set()
         first = self._node_with_dendrite({3})
@@ -177,8 +181,8 @@ class TestCollectInputs:
 
     def test_inhibitory_sign_and_gain(self):
         grid = make_grid()
-        grid.deposit(grid.new_payload(TRANSMITTER, 3, (5, 5, 5), 2.0, 3,
-                                      properties={"excitatory": -1}))
+        grid.stage(TRANSMITTER, 3, (5, 5, 5), 2.0, 3,
+                   properties={"excitatory": -1})
         grid.commit()
         node = self._node_with_dendrite({3}, gain=0.5)
         deposits, _ = node.collect_inputs(grid, set())
@@ -186,7 +190,7 @@ class TestCollectInputs:
 
     def test_architector_payloads_not_collected(self):
         grid = make_grid()
-        grid.deposit(grid.new_payload(ARCHITECTOR, 3, (5, 5, 5), 1.0, 3))
+        grid.stage(ARCHITECTOR, 3, (5, 5, 5), 1.0, 3)
         grid.commit()
         node = self._node_with_dendrite({3})
         deposits, consumed = node.collect_inputs(grid, set())
@@ -214,8 +218,8 @@ class TestCollectInputsAgainstReference:
     def test_random_grids_and_dendrites(self, cell_size, payloads, nodes):
         grid = NeuralGrid((0, 0, 0), (10, 10, 10), cell_size=cell_size)
         for kind, index, pos, mag, excitatory in payloads:
-            grid.deposit(grid.new_payload(kind, index, pos, mag, 3,
-                                          properties={"excitatory": excitatory}))
+            grid.stage(kind, index, pos, mag, 3,
+                       properties={"excitatory": excitatory})
         grid.commit()
         claimed, expected_claimed = set(), set()
         for node_id, dendrites in enumerate(nodes):
@@ -230,7 +234,7 @@ class TestCollectInputsAgainstReference:
     def test_several_indices_and_an_earlier_claim(self):
         grid = make_grid()
         for index, x in ((1, 5.0), (2, 5.5), (3, 4.5), (2, 5.25)):
-            grid.deposit(grid.new_payload(TRANSMITTER, index, (x, 5, 5), 1.0, 3))
+            grid.stage(TRANSMITTER, index, (x, 5, 5), 1.0, 3)
         grid.commit()
         claimed = {3}  # the second index-2 payload, taken by an earlier node
         node = make_node()
@@ -274,6 +278,14 @@ class TestStep:
         assert first is not None
 
 
+def emitted(node, spike):
+    """The payloads ``node`` stages for ``spike`` in a fresh grid, in pid order."""
+    grid = make_grid()
+    node.emit_payloads(spike, grid, 2.0, 3)
+    grid.commit()
+    return list(grid.payloads.values())
+
+
 class TestEmitPayloads:
     def _spiking_node(self):
         node = make_node(min_e=2.0)
@@ -286,7 +298,7 @@ class TestEmitPayloads:
     def test_magnitude_scales_with_plane_energy(self):
         node = self._spiking_node()
         spike = SpikeEvent(z_index=2, plane_energy=4.0)
-        out = node.emit_payloads(spike, make_grid(), 2.0, 3)
+        out = emitted(node, spike)
         assert len(out) == 1
         assert out[0].kind == TRANSMITTER and out[0].index == 1
         assert out[0].magnitude == pytest.approx(2.0)  # 1.0 * 4.0 / 2.0
@@ -294,7 +306,7 @@ class TestEmitPayloads:
     def test_disallowed_index_skipped(self):
         node = self._spiking_node()
         node.allowed_tx_indices = set()
-        out = node.emit_payloads(SpikeEvent(2, 4.0), make_grid(), 2.0, 3)
+        out = emitted(node, SpikeEvent(2, 4.0))
         assert out == []
 
     def test_blocked_terminal_logs_nothing(self, caplog):
@@ -306,7 +318,7 @@ class TestEmitPayloads:
         node.min_e, node.dr = 0.5, 0.0
         spike = node.step([(0, 0, 3.0)], 0, 0.05, 0.5)
         assert spike is not None
-        out = node.emit_payloads(spike, make_grid(), 2.0, 3)
+        out = emitted(node, spike)
         assert [(pl.index, pl.position) for pl in out] == [(1, (3.0, 3.0, 3.0))]
         assert caplog.records == []
 
@@ -316,10 +328,10 @@ class TestEmitPayloads:
         node.spike_count_epoch = 50
         # one observed epoch: gate must stay closed regardless of deviation
         node.spike_mean, node.spike_var, node.spike_epochs_observed = 1.0, 4.0, 1
-        out = node.emit_payloads(SpikeEvent(2, 4.0), make_grid(), 2.0, 3)
+        out = emitted(node, SpikeEvent(2, 4.0))
         assert all(pl.kind == TRANSMITTER for pl in out)
         node.spike_epochs_observed = 5
-        out = node.emit_payloads(SpikeEvent(2, 4.0), make_grid(), 2.0, 3)
+        out = emitted(node, SpikeEvent(2, 4.0))
         kinds = sorted(pl.kind for pl in out)
         assert kinds == [ARCHITECTOR, TRANSMITTER]
         arch = next(pl for pl in out if pl.kind == ARCHITECTOR)
@@ -330,7 +342,7 @@ class TestEmitPayloads:
         node.allowed_arch_indices = {0: "Apoptosis"}
         node.spike_count_epoch = 1
         node.spike_mean, node.spike_var, node.spike_epochs_observed = 1.0, 0.01, 10
-        out = node.emit_payloads(SpikeEvent(2, 4.0), make_grid(), 2.0, 3)
+        out = emitted(node, SpikeEvent(2, 4.0))
         assert all(pl.kind == TRANSMITTER for pl in out)
 
 
@@ -394,7 +406,7 @@ class TestClassifyState:
 class TestGrow:
     def test_cone_steps_toward_attractant(self):
         grid = make_grid()
-        grid.deposit(grid.new_payload(TRANSMITTER, 2, (8, 5, 5), 2.0, 3))
+        grid.stage(TRANSMITTER, 2, (8, 5, 5), 2.0, 3)
         grid.commit()
         node = make_node()
         node.dendrites.append(Dendrite(
@@ -408,7 +420,7 @@ class TestGrow:
 
     def test_inactive_cone_stays_put(self):
         grid = make_grid()
-        grid.deposit(grid.new_payload(TRANSMITTER, 2, (8, 5, 5), 2.0, 3))
+        grid.stage(TRANSMITTER, 2, (8, 5, 5), 2.0, 3)
         grid.commit()
         node = make_node()
         node.dendrites.append(Dendrite(
@@ -436,7 +448,7 @@ class TestGrow:
         # index 3 is never deposited; a 6.0 step leaves the grid and is clamped
         grid = make_grid()
         for pos, index, mag in payloads:
-            grid.deposit(grid.new_payload(TRANSMITTER, index, pos, mag, 3))
+            grid.stage(TRANSMITTER, index, pos, mag, 3)
         grid.commit()
         nodes = [make_node(), make_node()]
         for node in nodes:

@@ -243,6 +243,8 @@ class TestEnvironmentRules:
             "index": 0, "position": [5, 5, 5], "magnitude": 1.0,
             "properties": {"excitatory": 1, "weight": [float("nan")]}}}),
         ({"type": ["epoch_at_least"], "epoch": 2}, None),  # not hashable
+        (None, {"type": "add_input_probe", "probe": {
+            "probe_id": 1, "position": [1, 1, 1], "noise": -0.5, "frames": []}}),
     ])
     def test_check_rejects_what_would_fail_mid_run(self, precondition, effect):
         kw = {k: v for k, v in (("precondition", precondition), ("effect", effect)) if v}
