@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -76,11 +77,25 @@ class SpikeEvent:
 def float_lattice(cells) -> np.ndarray:
     """``cells`` as a C-contiguous float64 array, refused unless numpy reads
     them as numbers: cast to float64 at once, it would read a string as the
-    number it spells and null as NaN. An integer past 64 bits is refused too."""
+    number it spells and null as NaN. An integer past 64 bits is refused too,
+    and so is a boolean among the numbers of nested lists."""
     a = np.asarray(cells)
     if a.dtype.kind not in "fiu":
         raise StructureError(f"lattice cells must be numbers, not {a.dtype}")
+    if isinstance(cells, list):
+        _no_booleans(cells, a.ndim)
     return np.ascontiguousarray(a, dtype=np.float64)
+
+
+def _no_booleans(cells: list, depth: int) -> None:
+    """Refuse a ``bool`` among the cells of nested lists ``depth`` deep, which
+    numpy reads as the number 1 or 0 beside other numbers. Lattices as
+    `eden.codec.read_lattices` reads them are arrays already, so only a state
+    read by ``json`` alone pays for this pass over its cells."""
+    for _ in range(depth - 1):
+        cells = itertools.chain.from_iterable(cells)
+    if bool in set(map(type, cells)):
+        raise StructureError("lattice cells must be numbers, not booleans")
 
 
 @dataclass
@@ -197,9 +212,12 @@ class PwrTensor:
             except (OverflowError, ValueError) as exc:  # a listed value past int8, or NaN
                 raise StructureError(f"{bad_routers}: {exc}") from exc
             # The cast truncates 0.5 and wraps an array's 300, so it must give back
-            # the raw values. A loaded lattice is nested lists, compared as lists:
-            # cheaper than casting them again, and an int64 copy per node raised
-            # the peak memory of the resume benchmark by ~4 MB.
+            # the raw values. A lattice loaded by `json` alone is nested lists,
+            # compared as lists: cheaper than casting them again, and an int64
+            # copy per node raised the peak memory of the resume benchmark by
+            # ~4 MB. `True == 1`, so the lists are checked for booleans too.
+            if isinstance(raw, list):
+                _no_booleans(raw, self.r.ndim)
             same = self.r is raw or (self.r.tolist() == raw if isinstance(raw, list)
                                      else (self.r == raw).all())
             # read as uint8, a negative router is >= 128, so one max checks [0, 9)

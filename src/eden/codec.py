@@ -18,6 +18,12 @@ all-zero array's text is made once per shape. ``encode`` hands arrays, and
 every value written as it is, through uncopied, and ``decode`` copies an
 array it is handed, so a decoded object shares no memory with the original.
 
+Reading a saved text is the mirror, in `read_lattices`: orjson parses each
+array's text alone into an array, and ``json.loads`` parses the rest with a
+marker where each array stood, which the array's decoder exchanges for it. A
+text the reader cannot take exactly as the writer wrote it raises
+``ValueError``, and its caller reads it the old way, all of it by ``json``.
+
 Decoding refuses with ``TypeError`` or ``ValueError`` what a run could not
 save: another JSON type than the field's (an ``int`` takes only an integer, a
 ``bool`` only ``true`` or ``false``, a ``float`` any number), a non-finite
@@ -28,6 +34,7 @@ where a ``float`` field saves ``1.0``.
 """
 from __future__ import annotations
 
+import contextvars
 import dataclasses
 import functools
 import itertools
@@ -35,6 +42,7 @@ import json
 import math
 import operator
 import random
+import re
 import typing
 
 import numpy as np
@@ -131,6 +139,108 @@ def _zeros_text(shape: tuple) -> str:
     return orjson.dumps(np.zeros(shape), option=orjson.OPT_SERIALIZE_NUMPY).decode()
 
 
+def read_lattices(text: str, root: type, build):
+    """``build(doc)``, ``doc`` the JSON document in ``text``, with the value of
+    each ``np.ndarray`` field of ``root`` and of the dataclasses its fields hold
+    parsed by orjson into an array as it is found. Raises ``ValueError``, or
+    ``json``'s ``RecursionError``, where the text must be read the old way,
+    all of it by ``json``, to give exactly what that gives.
+
+    A value is taken where its key (`_lattice_key`) is followed by ``:[``, and
+    runs to the first run of as many ``]`` as it opens with. Where that is not
+    the whole value, orjson refuses the text, which ends early or holds more.
+    orjson then gives the numbers ``json`` gives, bit for bit, except an
+    integer past 64 bits, which it reads as a float where ``json`` keeps an
+    ``int`` that numpy cannot type. So numpy must find the array regular and
+    of numbers; one of floats that reaches 2**63 in magnitude must hold no
+    integer of 19 digits or more (`_LONG_INTEGER`), and its text must not
+    hold ``true`` or ``false``, which numpy takes as 1 and 0 beside numbers.
+    An array whose text is `_zeros_text` of a shape met before is made as
+    zeros of that shape.
+
+    The rest is parsed by ``json.loads`` with a marker, NUL and the array's
+    number, where each array stood; a text that spells NUL (``\\u0000``) or
+    holds a ``NaN``, ``Infinity`` or ``-Infinity`` token is refused. While
+    ``build`` runs, the ``np.ndarray`` decoder exchanges each marker for its
+    array, uncopied; a marker it was not handed, under such a key in
+    free-form JSON, refuses the text after ``build`` returns. A refusal that
+    ``build`` raises is its own.
+    """
+    pieces, pos, search = [], 0, _lattice_key(root).search
+    arrays = {}
+    token = _parsed.set(arrays)
+    try:
+        while match := search(text, pos):
+            start = match.start(1)
+            end = text.index("]" * len(match[1]), start) + len(match[1])
+            span = text[start:end]
+            if span in _zero_shapes:
+                array = np.zeros(_zero_shapes[span])
+            elif "t" in span or "f" in span:  # numpy reads true and false as numbers
+                raise ValueError("a boolean among a lattice's cells")
+            else:
+                array = np.array(orjson.loads(span))
+                kind = array.dtype.kind
+                if kind not in "fiu":
+                    raise ValueError(f"a lattice of {array.dtype}")
+                if (kind == "f" and not abs(array).max(initial=0.0) < 2.0 ** 63
+                        and _LONG_INTEGER.search(span)):
+                    raise ValueError("an integer that orjson reads as a float")
+                if kind == "f" and not array.any():
+                    _zero_shapes[_zeros_text(array.shape)] = array.shape
+            marker = f"\0{len(arrays)}"
+            arrays[marker] = array
+            pieces += (text[pos:start], json.dumps(marker))
+            pos = end
+        pieces.append(text[pos:])
+        if any("\\u0000" in piece for piece in pieces[::2]):
+            raise ValueError("a string that could spell a marker")
+        result = build(json.loads("".join(pieces), parse_constant=refuse_non_finite))
+        if arrays:
+            raise ValueError(f"{len(arrays)} lattices not read by an array field")
+        return result
+    finally:
+        _parsed.reset(token)
+
+
+# a number that starts with 19 digits: every integer of 2**63 or more in
+# magnitude, which orjson reads as a float, and a float written so
+_LONG_INTEGER = re.compile(r"(?:^|[\[,\s])-?\d{19}")
+# the arrays `read_lattices` has read, by marker, until `build` takes them
+_parsed: contextvars.ContextVar[dict] = contextvars.ContextVar("parsed", default={})
+# the shape of each `_zeros_text` that `read_lattices` has met, which it then
+# reads as zeros without parsing it again
+_zero_shapes: dict[str, tuple] = {}
+
+
+def refuse_non_finite(token: str):
+    """`json.loads`'s hook for the NaN, Infinity and -Infinity tokens, which
+    neither a save state nor the session log holds: a run would fail at its next save."""
+    raise ValueError(f"non-finite number {token}")
+
+
+@functools.cache
+def _lattice_key(root: type) -> re.Pattern:
+    """The pattern that finds, with its opening brackets, the value of a key
+    that names an ``np.ndarray`` field in ``root`` or the dataclasses its
+    fields hold, and no other field there."""
+    arrays, others, seen, todo = set(), set(), set(), [root]
+    while todo:
+        tp = todo.pop()
+        todo += typing.get_args(tp)
+        if dataclasses.is_dataclass(tp) and tp not in seen:
+            seen.add(tp)
+            hints = typing.get_type_hints(tp)
+            for f in dataclasses.fields(tp):
+                if f.init:
+                    hint = hints[f.name]
+                    is_array = hint in (np.ndarray, typing.Optional[np.ndarray])
+                    (arrays if is_array else others).add(f.metadata.get("key", f.name))
+                    todo.append(hint)
+    keys = "|".join(map(re.escape, sorted(arrays - others)))
+    return re.compile(f'"(?:{keys})":(\\[+)')
+
+
 def by_id(cls, ident: str) -> dict:
     """The metadata of an ``{id: cls}`` dict saved as its values in the order
     stored, which the dict's owner keeps in id order."""
@@ -162,10 +272,13 @@ def _plan(cls) -> tuple:
                  for f in dataclasses.fields(cls) if f.init)
 
 
-def _copied(value):
-    """A copy of an array, which `encode` hands through: a decoded object must
-    not share memory with the one encoded. Nested lists, as loaded, pass."""
-    return value.copy() if isinstance(value, np.ndarray) else value
+def _array(value):
+    """The array that `read_lattices` read for the marker ``value``, or a copy
+    of an array, which `encode` hands through: a decoded object must not share
+    memory with the one encoded. Nested lists, as ``json`` loads them, pass."""
+    if isinstance(value, np.ndarray):
+        return value.copy()
+    return _parsed.get().pop(value, value) if type(value) is str else value
 
 
 def _optional(conv):
@@ -270,7 +383,7 @@ def converters(tp) -> tuple:
     if tp is list:  # a bare list holds free-form JSON
         return None, _finite_json
     if tp is np.ndarray:  # written by `lattice_text`; the constructor fixes the dtype
-        return None, _copied
+        return None, _array
     if tp is random.Random:  # saved as [version, [state words], gauss]
         return (lambda rng: list(rng.getstate())), _rng
     origin, args = typing.get_origin(tp), typing.get_args(tp)

@@ -3,17 +3,22 @@
 Save states are canonical JSON (`*.eden.json`): stable key order, shortest
 round-trip decimals, format_version gate. `save` builds the text in pieces with
 `eden.codec.canonical_pieces`, each lattice's text written by orjson, before it
-opens the temporary file, and writes them one by one. Saving, loading and
-saving again is a byte fixpoint, and the serialized RNG state makes resumed
-runs bit-identical to uninterrupted ones. A type's persisted state is its
-dataclass init fields, written and read by `eden.codec`; runtime-only
+opens the temporary file, and writes them one by one. `load` is the mirror:
+`eden.codec.read_lattices` parses each lattice alone with orjson and the rest
+with `json`, and a state it does not take, not laid out as `save` writes it
+or refused, is read again by `read_json`, all of it by `json`. Saving, loading
+and saving again is a byte fixpoint, and the serialized RNG state makes
+resumed runs bit-identical to uninterrupted ones. A type's persisted state is
+its dataclass init fields, written and read by `eden.codec`; runtime-only
 attributes are `init=False`.
 The session log (`*.session.jsonl`) is append-only, one record per epoch.
-Every input file is read by `read_json`, and each refusal is an `InputError`.
+Every other input file is read by `read_json` alone, and each refusal is an
+`InputError`.
 """
 from __future__ import annotations
 
 import errno
+import functools
 import json
 import os
 import random
@@ -21,7 +26,8 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from typing import Optional
 
-from .codec import Number, canonical_pieces, converters, decode, dumps_canonical, encode
+from .codec import (Number, canonical_pieces, converters, decode, dumps_canonical, encode,
+                    read_lattices, refuse_non_finite)
 from .grid import TRANSMITTER, NeuralGrid, TransArchPayload
 from .runner import Entity, EpochReport, input_probe_from_spec
 
@@ -37,12 +43,6 @@ class SaveStateError(InputError):
     """Unreadable, malformed or version-mismatched save state."""
 
 
-def _refuse_non_finite(token: str):
-    """`json.load`'s hook for the NaN, Infinity and -Infinity tokens, which
-    neither `save` nor the session log writes: a run would fail at its next save."""
-    raise ValueError(f"non-finite number {token}")
-
-
 def read_json(path: str, error: type[InputError], lines: bool = False):
     """The JSON document in the UTF-8 file at `path`, or with `lines` the list
     of documents on its non-blank lines: the one way an input file is read.
@@ -55,9 +55,9 @@ def read_json(path: str, error: type[InputError], lines: bool = False):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             if lines:
-                return [json.loads(line, parse_constant=_refuse_non_finite)
+                return [json.loads(line, parse_constant=refuse_non_finite)
                         for line in fh if line.strip()]
-            return json.load(fh, parse_constant=_refuse_non_finite)
+            return json.load(fh, parse_constant=refuse_non_finite)
     except OSError as exc:
         raise error(f"{path} not found or not readable: {exc.strerror}") from exc
     except (ValueError, RecursionError) as exc:
@@ -125,7 +125,18 @@ def save(entity: Entity, path: str) -> None:
 
 
 def load(path: str) -> Entity:
-    doc = read_json(path, SaveStateError)
+    """The entity saved at `path`, its lattices read by `read_lattices`. A
+    text that reader does not take, or that is refused, is read again by
+    `read_json`, so each refusal is worded as that reading words it."""
+    with suppress(OSError, ValueError, RecursionError):
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        return read_lattices(text, Entity, functools.partial(_entity, path=path))
+    return _entity(read_json(path, SaveStateError), path)
+
+
+def _entity(doc, path: str) -> Entity:
+    """The entity in the save-state document `doc`, read from `path`."""
     version = doc.get("format_version") if isinstance(doc, dict) else None
     if version != FORMAT_VERSION:
         raise SaveStateError(

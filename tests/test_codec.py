@@ -1,5 +1,6 @@
 """The canonical writer against the one it replaced: `json.dumps` writing each
 array through `tolist`, kept here as the oracle of the save-state bytes."""
+import dataclasses
 import functools
 import json
 import math
@@ -11,9 +12,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from eden import store
+from eden import codec, store
 from eden.cem import GoalPlane, PwrTensor
-from eden.codec import converters, decode, dumps_canonical, encode, lattice_text
+from eden.codec import (converters, decode, dumps_canonical, encode, lattice_text,
+                        read_lattices)
 from eden.config import EngineConfig
 from eden.functome import Functome
 from eden.grid import TRANSMITTER
@@ -265,3 +267,62 @@ class TestSequences:
         item = converters(tp)[1]
         assert outcome(converters(list[tp])[1], items) == outcome(
             lambda v: [item(x) for x in v], items)
+
+
+@dataclasses.dataclass
+class Lattice:
+    """An array field beside free-form JSON that may hold the array's key."""
+    w: np.ndarray
+    meta: dict
+
+
+def read(text: str) -> Lattice:
+    return read_lattices(text, Lattice, functools.partial(decode, Lattice))
+
+
+class TestReadLattices:
+    """`read_lattices` reads each lattice as ``json.loads`` reads its text, bit
+    for bit, and refuses a text it cannot read exactly."""
+
+    @given(bit_patterns
+           | hnp.arrays(np.float64, shapes, elements=st.sampled_from(list(EDGES)) | st.floats(
+               allow_nan=False, allow_infinity=False))
+           | hnp.arrays(np.int8, shapes, elements=st.integers(0, 8)))
+    @example(EDGES)
+    @example(np.concatenate([EDGES, -EDGES]).reshape(2, 1, -1))
+    @example(np.zeros((2, 3)))
+    def test_bit_for_bit_as_json_reads_lattice_text(self, a):
+        text = lattice_text(a)
+        want = np.array(json.loads(text))
+        for _ in range(2):  # a zero lattice read once is made from its shape
+            got = read('{"meta":{},"w":' + text + "}").w
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("cells", [[0, -0, 7], [-(2 ** 63), 2 ** 63 - 1],
+                                       [2 ** 64 - 1], [0.5, 1], [[1.5e300], [-2.0 ** 62]]])
+    def test_numbers_as_json_reads_them(self, cells):
+        text = json.dumps(cells, separators=(",", ":"))
+        got, want = read('{"meta":{},"w":' + text + "}").w, np.array(json.loads(text))
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("text", [
+        '{"meta":{"w":[0.5]},"w":[0.5]}',  # a lattice's key in free-form JSON
+        '{"meta":{"note":"\\u0000"},"w":[0.5]}',  # a string that spells a marker
+        '{"meta":{},"w":[0.5,true]}',  # numpy reads true as 1.0
+        '{"meta":{},"w":[[1],[false]]}',
+        '{"meta":{},"w":[1,100000000000000000000]}',  # orjson reads it as 1e20
+        '{"meta":{},"w":[-9223372036854775809]}',
+        '{"meta":{},"w":[1e300,100000000000000000000]}',
+        '{"meta":{},"w":[0.5,1e999]}',
+        '{"meta":{},"w":[0.5,null]}',
+        '{"meta":{},"w":[0.5,"0.5"]}',
+        '{"meta":{},"w":[[0.5],[0.5,0.5]]}',  # not regular
+        '{"meta":{},"w":[[0.5],0.5]}',  # no "]]" ends it
+        '{"meta":{},"w":[[0.5],0.5],"x":[[0.5]]}',  # "]]" ends another value
+        '{"meta":{"x":NaN},"w":[0.5]}',
+    ])
+    def test_refuses_what_it_cannot_read_exactly(self, text):
+        with pytest.raises(ValueError):
+            read(text)
+        assert codec._parsed.get() == {}

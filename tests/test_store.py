@@ -3,8 +3,11 @@ import errno
 import json
 import os
 
+import numpy as np
+import orjson
 import pytest
 
+from eden.cem import GoalPlane
 from eden.config import EngineConfig
 from eden.runner import OutputProbe, input_probe_from_spec, run_epoch, seed_entity
 from eden import store
@@ -105,6 +108,98 @@ class TestSaveLoad:
         resumed2 = store.load(mid)
         reports += [run_epoch(resumed2).to_dict() for _ in range(4)]
         assert reports == expected
+
+
+def with_goal(entity):
+    """``entity`` with a goal plane of 0.25 cells on its first node."""
+    node = entity.nodes[min(entity.nodes)]
+    node.goal = GoalPlane(z_index=1, target_p=np.full((node.cem.dim_xy,) * 2, 0.25))
+    return entity
+
+
+def edited(edit):
+    """A damage that applies ``edit`` to the saved entity's document and lays
+    the text out as `save` does."""
+    def damage(text):
+        doc = json.loads(text)
+        edit(doc["entity"])
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return damage
+
+
+def forge_marker(entity):
+    """Move the first goal's cells into free-form metadata, the first lattice
+    of the text, and give the goal the string of the marker they would get."""
+    goal = entity["nodes"][0]["goal"]
+    entity["functomes"][0]["metadata"]["target_p"] = goal["target_p"]
+    goal["target_p"] = "\0" + "0"  # NUL and the number of the first marker
+
+
+def first_cell(key, value):
+    """A damage that writes ``value`` as the first cell of the first lattice
+    ``key`` in the text as `save` writes it."""
+    def damage(text):
+        head, tail = text.split(f'"{key}":', 1)
+        cells = tail.lstrip("[")
+        return f'{head}"{key}":{tail[:len(tail) - len(cells)]}{value}{cells[cells.index(","):]}'
+    return damage
+
+
+class TestLatticeReader:
+    """`store.load` reads the lattices of a state as `save` writes it with
+    orjson, and any other text the old way, all of it by `json`, to the same
+    entity or the same refusal."""
+
+    def test_engine_written_state_is_read_by_orjson(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "e.eden.json")
+        store.save(with_goal(make_entity()), path)
+        texts, loads = [], orjson.loads
+        monkeypatch.setattr(orjson, "loads", lambda text: texts.append(text) or loads(text))
+        monkeypatch.setattr(store, "read_json", lambda *args: pytest.fail("read the old way"))
+        entity = store.load(path)
+        # every `w` and `r` and the goal's cells; of the all-zero `p` and
+        # `plane_energy_acc`, at most the first of each shape
+        assert 2 * len(entity.nodes) + 1 <= len(texts) <= 2 * len(entity.nodes) + 3
+        first = open(path, "rb").read()
+        store.save(entity, path)
+        assert open(path, "rb").read() == first
+
+    @pytest.mark.parametrize("damage", [
+        lambda text: json.dumps(json.loads(text), indent=1),
+        # a lattice's key in free-form JSON
+        edited(lambda entity: entity["functomes"][0]["metadata"].update(w=[[[0.5]]])),
+        # a string that could spell a marker, and one that does
+        edited(lambda entity: entity["functomes"][0]["metadata"].update(note="\0")),
+        edited(forge_marker),
+        first_cell("w", "1e999"),  # orjson refuses it, json reads it as inf
+        first_cell("w", "true"),  # numpy would read it as 1.0
+        first_cell("r", "true"),
+        first_cell("target_p", "true"),
+        first_cell("target_p", "100000000000000000000"),  # orjson reads it as 1e20
+        first_cell("r", "100000000000000000000"),
+        first_cell("w", " 0.5"),  # whitespace, which save does not write
+    ], ids=["indent-1", "metadata-w", "nul-string", "forged-marker", "weight-1e999",
+            "weight-true", "router-true", "goal-true", "goal-huge-int", "router-huge-int",
+            "weight-space"])
+    def test_read_as_json_reads_it(self, tmp_path, monkeypatch, damage):
+        path = str(tmp_path / "e.eden.json")
+        store.save(with_goal(make_entity()), path)
+        text = damage(open(path).read())
+        open(path, "w").write(text)
+
+        def outcome():
+            try:
+                store.save(store.load(path), str(tmp_path / "again.eden.json"))
+            except store.SaveStateError as exc:
+                return str(exc)
+            return open(tmp_path / "again.eden.json", "rb").read()
+
+        def old_way(*args):
+            raise ValueError("not read by orjson")
+
+        got = outcome()
+        monkeypatch.setattr(store, "read_lattices", old_way)
+        assert got == outcome()
 
 
 class TestLock:
