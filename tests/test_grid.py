@@ -192,6 +192,18 @@ class TestDensityGradient:
         g.commit()
         assert g.density_gradient((5, 5, 5), 1) == pytest.approx((0.0, 0.0, 0.0))
 
+    def test_vanished_terms_add_to_positive_zero(self):
+        # exp underflows to 0.0, so each term is 0.0 * d = -0.0; the sum
+        # starts from +0.0 as the scalar loop's does, and -0.0 + 0.0 is +0.0
+        g = make_grid()
+        g.stage(TRANSMITTER, 1, (0, 0, 0), 1.0, 3)
+        g.stage(TRANSMITTER, 1, (0, 0, 1), 1.0, 3)
+        g.commit()
+        positive_zeros = ["0x0.0p+0"] * 3
+        for grad in (g.density_gradient((10, 10, 10), 1, sigma=0.3),
+                     reference_density_gradient(g, (10, 10, 10), 1, sigma=0.3)):
+            assert list(map(float.hex, grad)) == positive_zeros
+
     def test_points_toward_source(self):
         g = make_grid()
         g.stage(TRANSMITTER, 1, (7, 5, 5), 2.0, 3)

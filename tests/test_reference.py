@@ -7,10 +7,12 @@ node spikes and backpropagates every epoch) and `resume` seed 0 (one cycle of
 `eden train` sessions, each loading, training and saving the state) and
 digests them as `perfbench/run.py` does, so a one-ulp drift in the grid
 queries, the CEM, the store or anything else on the epoch path fails here.
-`grow` and `deep` are also replayed in a child process with numpy's AVX-512
-kernels disabled, so a trajectory cannot depend on the host's SIMD dispatch,
-and with a builtin `sum` that refuses floats, so it cannot depend on the
-Python version's float `sum`.
+`grow` and `deep` are also replayed in child processes with numpy's AVX-512
+kernels disabled, and with its AVX2 and FMA (x86-64-v3) kernels disabled too,
+so a trajectory cannot depend on the host's SIMD dispatch: the growth step does
+numpy's elementwise arithmetic. They are also replayed with a builtin `sum`
+that refuses floats, so they cannot depend on the Python version's float
+`sum`.
 Only reads `perfbench/`; re-record the reference there for an intended change.
 """
 import builtins
@@ -106,9 +108,11 @@ def test_grow_and_deep_digests_add_no_float_with_the_builtin_sum(monkeypatch):
     assert deep == recorded("deep", 0)["trajectory_digest"]
 
 
-# Replays grow and deep seed 0 in a child process whose numpy runs without its
-# AVX-512 (x86-64-v4) kernels; prints the digests and whether that dispatch is off.
-REPLAY_WITHOUT_AVX512 = """
+# Replays grow and deep seed 0 in a child process whose numpy runs without the
+# kernels NPY_DISABLE_CPU_FEATURES names; prints the digests and whether the
+# AVX-512 (x86-64-v4) and AVX2 (x86-64-v3) dispatch is on. A numpy without the
+# X86_V3 group reports its AVX2 feature instead.
+REPLAY_WITHOUT_SIMD = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 try:
@@ -119,6 +123,7 @@ import test_reference as ref
 w = ref.load_workloads()
 print(json.dumps({
     "avx512_skx": bool(__cpu_features__.get("AVX512_SKX")),
+    "x86_v3": bool(__cpu_features__.get("X86_V3", __cpu_features__.get("AVX2"))),
     "grow": ref.trajectory_digest((w.build_grow(0, v) for v in range(4)),
                                   w.GROW_EPISODE_EPOCHS),
     "deep": ref.trajectory_digest([w.build_deep(0)], w.DEEP_EPISODE_EPOCHS),
@@ -126,17 +131,32 @@ print(json.dumps({
 """
 
 
+def replay_without(disabled: str) -> dict:
+    """What `REPLAY_WITHOUT_SIMD` prints, run with ``disabled`` as
+    NPY_DISABLE_CPU_FEATURES."""
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(tests), "src")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", REPLAY_WITHOUT_SIMD, tests],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
 def test_grow_and_deep_digests_do_not_depend_on_avx512_dispatch():
     """A state resumed on a host without AVX-512 follows the same trajectory:
     nothing on the epoch path may depend on which SIMD kernels numpy picks."""
-    tests = os.path.dirname(os.path.abspath(__file__))
-    src = os.path.join(os.path.dirname(tests), "src")
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", REPLAY_WITHOUT_AVX512, tests],
-                          env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    child = json.loads(proc.stdout.strip().splitlines()[-1])
+    child = replay_without("X86_V4")
     assert not child["avx512_skx"]  # the variable took effect, or there is no AVX-512
+    assert child["grow"] == recorded("grow", 0)["trajectory_digest"]
+    assert child["deep"] == recorded("deep", 0)["trajectory_digest"]
+
+
+def test_grow_and_deep_digests_do_not_depend_on_avx2_or_fma_dispatch():
+    """The same without AVX2 and FMA: the growth step's elementwise numpy
+    arithmetic must give the same bits in numpy's baseline kernels."""
+    child = replay_without("X86_V3 X86_V4")
+    assert not child["x86_v3"]  # the variable took effect, or there is no AVX2
     assert child["grow"] == recorded("grow", 0)["trajectory_digest"]
     assert child["deep"] == recorded("deep", 0)["trajectory_digest"]
