@@ -12,8 +12,9 @@ call per plane. Each plane's energy is a dict from the row-major flat index
 ``x*n + y`` to its value. Weights and routers are read per cell through flat
 ``memoryview``s of the C-contiguous lattices, made on each pass; each route is
 looked up in ``router_targets`` (edge-clamped, cached per lattice size). Each
-share is ``transfer``'s closed form computed inline, and each target's shares
-are summed in row-major cell order from 0.0. A share that clamps to zero is
+share is the sigmoid of the cell's energy times its weight, minus the
+propagation cost ``dr`` and clamped at zero, and each target's shares are
+summed in row-major cell order from 0.0. A share that clamps to zero is
 not added: +0.0 changes no sum, and a target that gets only such shares holds
 no energy. The plane energy is ``plane_sum``, an exact copy of numpy's float64
 pairwise sum of the plane, which the trajectories depend on; absent cells
@@ -171,14 +172,6 @@ def plane_sum(cells: list[tuple[int, float]], size: int, lo: int = 0) -> float:
     return total
 
 
-def transfer(p_val: float, w_val: float, dr: float) -> float:
-    """Sigmoid of the energy-weight product, minus the propagation cost.
-
-    Clamped at zero so energy never goes negative.
-    """
-    return max(0.0, 1.0 / (1.0 + math.exp(-(p_val * w_val))) - dr)
-
-
 @dataclass(eq=False)
 class PwrTensor:
     """Weight and router lattices plus the record of the current pass.
@@ -267,8 +260,8 @@ class PwrTensor:
         Deposits land on the entry plane (z=0). Cells that do not trigger a
         spike each forward their transferred energy to the single next-plane
         cell their router selects; lateral offsets clamp at the lattice edge.
-        Each share is ``transfer(v, w, dr)`` computed inline; a share that
-        clamps to zero still records its hop but adds nothing to its target.
+        Each share is ``max(0, sigmoid(v * w) - dr)``; a share that clamps
+        to zero still records its hop but adds nothing to its target.
         Residual energy is retained when no plane spikes. The pass is recorded
         in ``last_trace`` for router reinforcement and backprop. It starts
         from no energy: after a pass that left some, ``reset_propagation``
@@ -309,7 +302,7 @@ class PwrTensor:
                 i = k * dim_z + z
                 t = targets[r[i]][k]
                 hop(t)
-                # transfer(v, w[i], dr) inline; a clamped share adds +0.0, so skip it
+                # max(0, sigmoid(v * w) - dr); a clamped share adds +0.0, so skip it
                 share = 1.0 / (1.0 + exp(-(v * w[i]))) - dr
                 if share > 0.0:
                     plane[t] = plane.get(t, 0.0) + share

@@ -9,15 +9,18 @@ Exit codes:
      unlock cannot be written (a directory, or in a missing directory; checked
      before any work, or for export-metrics once every record is checked)
   4  schema or format-version violation
-  5  runtime failure
+  5  runtime failure; a train session that fails, in an epoch, a log append
+     or the save, leaves the state and the session log as they were
   1  replay divergence
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import os
 import random
 import sys
+from contextlib import suppress
 
 from .codec import decode, keyed
 from .config import ConfigError, decode_config
@@ -69,18 +72,25 @@ def cmd_train(args) -> int:
     rules = store.load_rules(args.rules, entity.grid) if args.rules else None
     if args.log:  # refused now, not after the first epoch has run
         try:
-            open(args.log, "a", encoding="utf-8").close()
+            with open(args.log, "ab") as fh:
+                log_size = fh.tell()
         except OSError as exc:
             raise store.InputError(f"cannot append to session log {args.log}: "
                                    f"{exc.strerror}") from exc
     total_spikes = 0
-    for _ in range(args.epochs):  # rules fire before Propagate; one log record per epoch
-        events = store.apply_environment_rules(entity, rules) if rules else []
-        report = run_epoch(entity)
-        total_spikes += sum(map(len, report.spikes.values()))
+    try:  # all or nothing: a session that fails leaves the log as it found it
+        for _ in range(args.epochs):  # rules fire before Propagate; one log record per epoch
+            events = store.apply_environment_rules(entity, rules) if rules else []
+            report = run_epoch(entity)
+            total_spikes += sum(map(len, report.spikes.values()))
+            if args.log:
+                store.append_session_record(args.log, report, entity, events)
+        store.save(entity, args.state)
+    except BaseException:
         if args.log:
-            store.append_session_record(args.log, report, entity, events)
-    store.save(entity, args.state)
+            with suppress(OSError):
+                os.truncate(args.log, log_size)
+        raise
     print(f"trained {args.epochs} epochs: {len(entity.nodes)} nodes, "
           f"{total_spikes} spikes, clock={entity.entity_clock}")
     return EXIT_OK

@@ -12,11 +12,11 @@ import time
 import numpy as np
 import pytest
 
-from eden.cem import CENTER, GoalPlane, PwrTensor, transfer
-from eden.codec import decode, encode
+from eden.cem import GoalPlane, PwrTensor
+from eden.codec import decode, dumps_canonical, encode
 from eden.cli import EXIT_OK, main
 from eden.config import EngineConfig
-from eden.functome import Functome, functome_hash, node_hash
+from eden.functome import Functome, node_hash
 from eden.grid import TRANSMITTER, NeuralGrid
 from eden.node import ProcessNode, stability_index
 from eden.runner import InputProbe, run_epoch, seed_entity
@@ -80,14 +80,23 @@ def stimulus_probe(entity, index=0, magnitude=1.5):
 
 def test_criterion_01_transfer_closed_form(capsys):
     with verdict(capsys, 1, "transfer matches closed form"):
+        # a 1x1x2 lattice whose threshold no pass reaches: the deposit p on the
+        # entry cell sends one share up, max(0, sigmoid(p * w) - dr), which
+        # plane 1 holds alone, or holds nothing where the share clamps
         rng = random.Random(101)
+        tensor = PwrTensor(1, 2)
         start = time.perf_counter()
         for _ in range(10_000):
-            p = rng.uniform(-10.0, 10.0)
+            p = 10.0 - rng.uniform(0.0, 10.0)  # in (0, 10]: a negative deposit clamps to 0
             w = rng.uniform(0.0, 1.0)
             dr = rng.uniform(0.0, 0.49)
             expected = max(0.0, sigmoid_oracle(p * w) - dr)
-            assert abs(transfer(p, w, dr) - expected) <= 1e-12
+            tensor.reset_propagation()
+            tensor.w[0, 0, 0] = w
+            assert tensor.forward_propagate([(0, 0, p)], min_e=1e18, dr=dr) is None
+            entry, shares = tensor.last_trace.energized
+            assert entry == [(0, p)]
+            assert abs(dict(shares).get(0, 0.0) - expected) <= 1e-12
         assert time.perf_counter() - start < 1.0
 
 
@@ -243,7 +252,7 @@ def test_criterion_07_lock_freezes_identity(capsys):
         store.set_locked(entity, True)
         node_ids = set(entity.nodes)
         gene_counts = {fid: len(f.genes) for fid, f in entity.functomes.items()}
-        f_hashes = {fid: functome_hash(f) for fid, f in entity.functomes.items()}
+        genomes = {fid: dumps_canonical(encode(f)) for fid, f in entity.functomes.items()}
         n_hashes = {nid: node_hash(n) for nid, n in entity.nodes.items()}
         spiked = False
         for _ in range(50):
@@ -252,7 +261,7 @@ def test_criterion_07_lock_freezes_identity(capsys):
         assert spiked  # propagation itself keeps running
         assert set(entity.nodes) == node_ids
         assert {fid: len(f.genes) for fid, f in entity.functomes.items()} == gene_counts
-        assert {fid: functome_hash(f) for fid, f in entity.functomes.items()} == f_hashes
+        assert {fid: dumps_canonical(encode(f)) for fid, f in entity.functomes.items()} == genomes
         assert {nid: node_hash(n) for nid, n in entity.nodes.items()} == n_hashes
 
 

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from eden.cem import (CENTER, ROUTER_OPTIONS, DepositError, GoalPlane,
-                      PropagationTrace, PwrTensor, SpikeEvent, StructureError,
-                      plane_sum, transfer)
+                      PropagationTrace, PwrTensor, StructureError, plane_sum)
 from eden.codec import decode, dumps_canonical, encode
+from reference_engine import (reference_forward_propagate, reference_gradients,
+                              reference_randomize_stale_routers,
+                              reference_update_routers_on_spike, transfer)
 
 
 # values a saved state's energy fields may not hold: a state is saved between
@@ -47,84 +49,6 @@ def sparse_lattice(seed, shape, fill):
 def sigmoid_oracle(v):
     # independent path: tanh identity instead of the logistic form
     return 0.5 * (1.0 + math.tanh(v / 2.0))
-
-
-def forward_oracle(p0, w, routers, deposits, min_e, dr, at_mod=1.0):
-    """Plain-dict re-implementation of the propagation pass, kept independent."""
-    dim_xy, _, dim_z = w.shape
-    p = {(x, y, z): p0[x, y, z] for x in range(dim_xy)
-         for y in range(dim_xy) for z in range(dim_z)}
-    for x, y, m in deposits:
-        p[(x, y, 0)] = max(0.0, p[(x, y, 0)] + m)
-    pe_prev = 0.0
-    for z in range(dim_z):
-        pe = at_mod * pe_prev + sum(p[(x, y, z)] for x in range(dim_xy)
-                                    for y in range(dim_xy))
-        if pe >= min_e:
-            return z, pe
-        pe_prev = pe
-        if z + 1 >= dim_z:
-            break
-        for x in range(dim_xy):
-            for y in range(dim_xy):
-                if p[(x, y, z)] <= 0:
-                    continue
-                out = max(0.0, sigmoid_oracle(p[(x, y, z)] * w[x, y, z]) - dr)
-                dx, dy = ROUTER_OPTIONS[routers[x, y, z]]
-                tx = min(max(x + dx, 0), dim_xy - 1)
-                ty = min(max(y + dy, 0), dim_xy - 1)
-                p[(tx, ty, z + 1)] += out
-    return None, None
-
-
-def reference_forward_propagate(t, deposits, min_e, dr, at_mod=1.0):
-    """The forward pass as a scalar loop on a dense lattice of all +0.0: numpy
-    element reads and writes per cell, the plane energy as numpy's sum of the
-    strided plane, routes clamped per cell, each target's share accumulated in
-    a dense plane in row-major cell order and added into the next plane at once.
-
-    Records the pass in ``t.last_trace`` and returns the spike and the lattice;
-    ``PwrTensor.forward_propagate`` must reproduce both bit for bit.
-    """
-    n = t.dim_xy
-    p = np.zeros((n, n, t.dim_z))
-    for x, y, mag in deposits:
-        if not (0 <= x < n and 0 <= y < n):
-            raise DepositError(f"deposit at ({x}, {y}) outside {n}x{n} entry plane")
-        p[x, y, 0] = max(0.0, p[x, y, 0] + mag)
-    trace = PropagationTrace()
-    t.last_trace = trace
-    pe = 0.0
-    for z in range(t.dim_z):
-        pe = at_mod * pe + float(p[:, :, z].sum())
-        cells = [(int(x), int(y)) for x, y in np.argwhere(p[:, :, z] > 0.0)]
-        trace.energized.append([(x * n + y, float(p[x, y, z])) for x, y in cells])
-        if pe >= min_e:
-            trace.spike_z = z
-            return SpikeEvent(z_index=z, plane_energy=pe), p
-        if z + 1 >= t.dim_z:
-            break
-        hops = []
-        out = np.zeros((n, n))
-        for x, y in cells:
-            dx, dy = ROUTER_OPTIONS[t.r[x, y, z]]
-            dst = (min(max(x + dx, 0), n - 1), min(max(y + dy, 0), n - 1))
-            out[dst] += transfer(float(p[x, y, z]), float(t.w[x, y, z]), dr)
-            hops.append(dst[0] * n + dst[1])
-        trace.hops_by_plane.append(hops)
-        p[:, :, z + 1] += out
-    return None, p
-
-
-def reference_randomize_stale_routers(t, rng):
-    """The stale-router sweep on a dense lattice: a random router for each
-    energized cell in ``np.argwhere`` order, on the lattice rebuilt from the
-    record."""
-    count = 0
-    for x, y, z in np.argwhere(dense(t) > 0.0):
-        t.r[x, y, z] = rng.randrange(len(ROUTER_OPTIONS))
-        count += 1
-    return count
 
 
 class TestRouterOptions:
@@ -337,25 +261,10 @@ class TestForwardPropagate:
         assert t.forward_propagate([(1, 0, 0.1)], 10.0, 0.6) is None
         assert t.last_trace.energized == [[(2, 0.1)], [], []]
         assert t.last_trace.hops_by_plane == [[2], []]  # CENTER route: straight up
-        ref_spike, ref_p = reference_forward_propagate(ref, [(1, 0, 0.1)], 10.0, 0.6)
+        ref_spike, ref_p, ref_trace = reference_forward_propagate(ref, [(1, 0, 0.1)], 10.0, 0.6)
         assert ref_spike is None
-        assert t.last_trace == ref.last_trace
+        assert t.last_trace == ref_trace
         assert dense(t).tobytes() == ref_p.tobytes()
-
-    def test_matches_oracle_on_random_tensors(self):
-        for seed in range(25):
-            rng = random.Random(seed)
-            t = PwrTensor.random(4, 5, rng)
-            deposits = [(rng.randrange(4), rng.randrange(4), rng.uniform(0.2, 2.0))
-                        for _ in range(3)]
-            min_e, dr = rng.uniform(1.5, 4.0), rng.uniform(0.0, 0.3)
-            oz, ope = forward_oracle(np.zeros_like(t.w), t.w, t.r, deposits, min_e, dr)
-            spike = t.forward_propagate(deposits, min_e, dr)
-            if oz is None:
-                assert spike is None
-            else:
-                assert spike.z_index == oz
-                assert spike.plane_energy == pytest.approx(ope, abs=1e-9)
 
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), dim_xy=st.integers(1, 12),
@@ -378,22 +287,22 @@ class TestForwardPropagate:
                         for x in range(dim_xy) for y in range(dim_xy) if rng.random() < fill]
             rng.shuffle(deposits)
             spike = t.forward_propagate(deposits, min_e, dr, at_mod)
-            ref_spike, ref_p = reference_forward_propagate(ref, deposits, min_e, dr, at_mod)
+            ref_spike, ref_p, ref_trace = reference_forward_propagate(ref, deposits, min_e, dr,
+                                                                      at_mod)
             assert spike == ref_spike
-            assert t.last_trace == ref.last_trace
+            assert t.last_trace == ref_trace
             assert dense(t).tobytes() == ref_p.tobytes()  # every energized value, bitwise
             for z in range(dim_z):
                 assert t.plane(z).tobytes() == ref_p[:, :, z].tobytes()
             assert t.energy() == float(ref_p.sum())
             if spike is not None:
                 t.update_routers_on_spike(spike)
-                ref.update_routers_on_spike(ref_spike)
+                reference_update_routers_on_spike(ref.r, ref_p, ref_spike.z_index)
             else:
                 assert (t.randomize_stale_routers(random.Random(seed))
-                        == reference_randomize_stale_routers(ref, random.Random(seed)))
+                        == reference_randomize_stale_routers(ref.r, ref_p, random.Random(seed)))
             assert t.r.tobytes() == ref.r.tobytes()
             t.reset_propagation()
-            ref.reset_propagation()
 
     def test_second_pass_without_reset_raises(self):
         t = PwrTensor(2, 3)
@@ -524,10 +433,10 @@ class TestStaleRouters:
         deposits = [(x, y, rng.uniform(0.1, 2.0))
                     for x in range(dim_xy) for y in range(dim_xy) if rng.random() < fill]
         assert t.forward_propagate(deposits, 1e18, dr) is None
-        ref = copy.deepcopy(t)
+        routers = t.r.copy()
         count = t.randomize_stale_routers(random.Random(seed))
-        assert count == reference_randomize_stale_routers(ref, random.Random(seed))
-        assert t.r.tobytes() == ref.r.tobytes()
+        assert count == reference_randomize_stale_routers(routers, dense(t), random.Random(seed))
+        assert t.r.tobytes() == routers.tobytes()
 
 
 class TestReset:
@@ -637,37 +546,6 @@ class TestBackprop:
             t.forward_propagate(deposits, 1e18, 0.05)
             t.backprop_to_goal(goal, 2.0, 0.05)
         assert np.all((t.w >= 0) & (t.w <= 1))
-
-
-def reference_gradients(p, w, r, goal, dr):
-    """Backprop over lattice snapshots taken before the rewire, without the trace.
-
-    The same arithmetic in the same order as ``goal_loss_gradients``: routes
-    come from the pre-spike routers, cells are visited in row-major order.
-    """
-    n = p.shape[0]
-    zs = goal.z_index
-    grad_p = p[:, :, zs] - goal.target_p
-    grad_w = {}
-    for z in range(zs - 1, -1, -1):
-        grad_prev = np.zeros_like(grad_p)
-        for x in range(n):
-            for y in range(n):
-                if not p[x, y, z] > 0.0:
-                    continue
-                dx, dy = ROUTER_OPTIONS[r[x, y, z]]
-                g = grad_p[min(max(x + dx, 0), n - 1), min(max(y + dy, 0), n - 1)]
-                if g == 0.0:
-                    continue
-                pv, wv = float(p[x, y, z]), float(w[x, y, z])
-                s = 1.0 / (1.0 + math.exp(-(pv * wv)))
-                if s - dr <= 0.0:
-                    continue
-                ds = s * (1.0 - s)
-                grad_w[(x, y, z)] = grad_w.get((x, y, z), 0.0) + g * ds * pv
-                grad_prev[x, y] += g * ds * wv
-        grad_p = grad_prev
-    return grad_w
 
 
 class TestPassRecord:

@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from eden.cli import (EXIT_CONFIG, EXIT_DIVERGENT, EXIT_MISSING, EXIT_OK,
+from eden import cli, store
+from eden.cli import (EXIT_CONFIG, EXIT_DIVERGENT, EXIT_MISSING, EXIT_OK, EXIT_RUNTIME,
                       EXIT_SCHEMA, main)
-from eden import store
 from eden.functome import ActionGene
 from eden.grid import TRANSMITTER
 from eden.runner import OutputProbe, input_probe_from_spec
@@ -198,6 +198,40 @@ class TestTrain:
         records = store.read_session_log(log)
         assert records[0]["environment_events"] != []
         assert records[1]["environment_events"] == []
+
+    @pytest.mark.parametrize("failure", ["epoch", "save"])
+    def test_failed_session_leaves_state_and_log_as_they_were(self, tmp_path, state_path,
+                                                              monkeypatch, failure):
+        """A session that fails after epoch 0 has run, in its third epoch or in
+        the save after its last, exits 5 and truncates the log back to the
+        records of the sessions before it."""
+        pattern = write_pattern(tmp_path, state_path)
+        log = tmp_path / "run.session.jsonl"
+        assert main(["train", "--state", state_path, "--epochs", "2", "--pattern", pattern,
+                     "--log", str(log)]) == EXIT_OK
+        before = open(state_path, "rb").read(), log.read_bytes()
+        appended = []
+        append = store.append_session_record
+        monkeypatch.setattr(store, "append_session_record",
+                            lambda *args: appended.append(append(*args)))
+        if failure == "epoch":
+            run_epoch = cli.run_epoch
+
+            def fail_third(entity):
+                if len(appended) == 2:
+                    raise RuntimeError("injected failure")
+                return run_epoch(entity)
+
+            monkeypatch.setattr(cli, "run_epoch", fail_third)
+        else:
+            def refuse(src, dst):
+                raise OSError(5, "injected failure")
+
+            monkeypatch.setattr(store.os, "replace", refuse)
+        assert main(["train", "--state", state_path, "--epochs", "4",
+                     "--log", str(log)]) == EXIT_RUNTIME
+        assert len(appended) == (2 if failure == "epoch" else 4)
+        assert (open(state_path, "rb").read(), log.read_bytes()) == before
 
     @pytest.mark.parametrize("repeating", [True, pytest.param(False, marks=pytest.mark.xfail(
         strict=True, reason="a one-shot rule's fired flag is not saved, so the second "

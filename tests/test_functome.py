@@ -5,12 +5,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eden.codec import decode, encode
+from eden.codec import decode, dumps_canonical, encode
 from eden.config import EngineConfig
 from eden.functome import (ACTION_PARAM_KEYS, ACTIONS, PREREQ_PARAM_KEYS,
                            PREREQUISITES, ActionGene, Functome, GeneError,
-                           check_prerequisite, execute_action, functome_hash,
-                           mutate, node_hash, random_gene,
+                           check_prerequisite, execute_action, mutate, node_hash, random_gene,
                            scan_available_actions)
 from eden.grid import ARCHITECTOR, TRANSMITTER
 from eden.runner import Entity, seed_entity
@@ -164,25 +163,25 @@ class TestMutation:
     def test_stable_node_never_mutates(self):
         rng = random.Random(1)
         f = self._functome(rng)
-        before = functome_hash(f)
+        before = dumps_canonical(encode(f))
         assert mutate(f, node_stability=0.9, stability_min=0.2, rng=rng) == 0
-        assert functome_hash(f) == before
+        assert dumps_canonical(encode(f)) == before
 
     def test_locked_never_mutates(self):
         rng = random.Random(2)
         f = self._functome(rng)
         f.locked = True
-        before = functome_hash(f)
+        before = dumps_canonical(encode(f))
         assert mutate(f, node_stability=0.0, stability_min=0.2, rng=rng) == 0
-        assert functome_hash(f) == before
+        assert dumps_canonical(encode(f)) == before
 
     def test_unstable_node_mutates(self):
         rng = random.Random(3)
         f = self._functome(rng)
-        before = functome_hash(f)
+        before = dumps_canonical(encode(f))
         count = mutate(f, node_stability=0.0, stability_min=0.2, rng=rng)
         assert count > 0
-        assert functome_hash(f) != before
+        assert dumps_canonical(encode(f)) != before
 
     def test_mutated_genes_remain_valid(self):
         rng = random.Random(4)
@@ -219,19 +218,12 @@ class TestMutation:
         c = f.clone(new_fid=7)
         assert c.fid == 7
         assert c.lineage == [0]
-        assert functome_hash(c) == functome_hash(f)
+        assert encode(c)["genes"] == encode(f)["genes"]
         mutate(c, 0.0, 0.2, rng)
-        assert functome_hash(f) != functome_hash(c)  # deep copy, not aliasing
+        assert encode(f)["genes"] != encode(c)["genes"]  # deep copy, not aliasing
 
 
 class TestHashes:
-    def test_functome_hash_ignores_fid(self):
-        rng = random.Random(7)
-        genes = [random_gene(rng, 8, 4) for _ in range(3)]
-        a = Functome(fid=0, genes=[decode(ActionGene, encode(g)) for g in genes])
-        b = Functome(fid=99, genes=[decode(ActionGene, encode(g)) for g in genes])
-        assert functome_hash(a) == functome_hash(b)
-
     def test_node_hash_tracks_morphology(self):
         entity, node = fresh_node()
         before = node_hash(node)
@@ -322,4 +314,3 @@ class TestPersistence:
                      metadata={"note": "x"})
         g = decode(Functome, encode(f))
         assert encode(g) == encode(f)
-        assert functome_hash(g) == functome_hash(f)

@@ -1,8 +1,6 @@
 """Tests for the neural grid: commit semantics, queries, gradients, decay."""
 import math
 import random
-from functools import reduce
-from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,48 +8,13 @@ from hypothesis import given, settings, strategies as st
 from eden.codec import decode, encode
 from eden.grid import ARCHITECTOR, TRANSMITTER, GridError, NeuralGrid, TransArchPayload
 
+from reference_engine import (reference_density_gradient, reference_filtered_query,
+                              reference_query_radius)
 from test_acceptance import density
 
 
 def make_grid(cell_size=2.0):
     return NeuralGrid((0, 0, 0), (10, 10, 10), cell_size=cell_size)
-
-
-# Reference implementations: the plain scalar loops over every committed
-# payload that the per-commit index replaced. The grid must match them
-# exactly, because trajectories are compared by digest. They add floats left
-# to right with `reduce`, as the builtin `sum` did before Python 3.12.
-
-def reference_query_radius(grid, center, r):
-    found = []
-    for pid in sorted(grid.payloads):
-        pl = grid.payloads[pid]
-        d = math.sqrt(reduce(add, ((ai - bi) ** 2 for ai, bi in zip(pl.position, center)), 0))
-        if d <= r:
-            found.append((d, pid))
-    found.sort()
-    return [pid for _, pid in found]
-
-
-def reference_filtered_query(grid, center, r, indices):
-    """The unfiltered reference, keeping the transmitters of ``indices``."""
-    return [pid for pid in reference_query_radius(grid, center, r)
-            if grid.payloads[pid].kind == TRANSMITTER and grid.payloads[pid].index in indices]
-
-
-def reference_density_gradient(grid, pos, index, sigma=1.0):
-    grad = [0.0, 0.0, 0.0]
-    inv_s2 = 1.0 / (sigma * sigma)
-    for pid in sorted(grid.payloads):
-        pl = grid.payloads[pid]
-        if pl.index != index:
-            continue
-        delta = [pc - c for pc, c in zip(pl.position, pos)]
-        d2 = reduce(add, (x * x for x in delta), 0)
-        k = pl.magnitude * math.exp(-0.5 * d2 * inv_s2)
-        for i in range(3):
-            grad[i] += k * delta[i] * inv_s2
-    return tuple(grad)
 
 
 class TestDeposit:
