@@ -199,12 +199,13 @@ class TestTrain:
         assert records[0]["environment_events"] != []
         assert records[1]["environment_events"] == []
 
-    @pytest.mark.parametrize("failure", ["epoch", "save"])
+    @pytest.mark.parametrize("failure", ["epoch", "append", "save"])
     def test_failed_session_leaves_state_and_log_as_they_were(self, tmp_path, state_path,
                                                               monkeypatch, failure):
-        """A session that fails after epoch 0 has run, in its third epoch or in
-        the save after its last, exits 5 and truncates the log back to the
-        records of the sessions before it."""
+        """A session that fails after epoch 0 has run, in its third epoch, in
+        its third append after the record reached the log, or in the save after
+        its last, exits 5 and truncates the log back to the records of the
+        sessions before it."""
         pattern = write_pattern(tmp_path, state_path)
         log = tmp_path / "run.session.jsonl"
         assert main(["train", "--state", state_path, "--epochs", "2", "--pattern", pattern,
@@ -223,6 +224,14 @@ class TestTrain:
                 return run_epoch(entity)
 
             monkeypatch.setattr(cli, "run_epoch", fail_third)
+        elif failure == "append":
+            def fail_third_append(*args):
+                if len(appended) == 2:
+                    append(*args)
+                    raise OSError(28, "injected failure")
+                appended.append(append(*args))
+
+            monkeypatch.setattr(store, "append_session_record", fail_third_append)
         else:
             def refuse(src, dst):
                 raise OSError(5, "injected failure")
@@ -230,7 +239,7 @@ class TestTrain:
             monkeypatch.setattr(store.os, "replace", refuse)
         assert main(["train", "--state", state_path, "--epochs", "4",
                      "--log", str(log)]) == EXIT_RUNTIME
-        assert len(appended) == (2 if failure == "epoch" else 4)
+        assert len(appended) == (4 if failure == "save" else 2)
         assert (open(state_path, "rb").read(), log.read_bytes()) == before
 
     @pytest.mark.parametrize("repeating", [True, pytest.param(False, marks=pytest.mark.xfail(
