@@ -11,18 +11,21 @@ field the decoder takes as a second argument; `by_id` and `sorted_by` give
 the metadata of collections saved as ordered lists. Each class's converter
 plan is built once and cached, so saving does no per-value type dispatch.
 
-Writing goes through `canonical_pieces`: ``json.dumps`` writes the document
-with a marker where each ``np.ndarray`` stands, and `lattice_text` writes each
-array with orjson's numpy serializer, the text spliced in at its marker; an
-all-zero array's text is made once per shape. ``encode`` hands arrays, and
-every value written as it is, through uncopied, and ``decode`` copies an
-array it is handed, so a decoded object shares no memory with the original.
+Writing goes through `canonical_pieces`, in UTF-8 bytes: ``json.dumps``
+writes the document with a marker where each ``np.ndarray`` stands, one
+``np.isfinite`` pass checks every array, and `lattice_text` writes each array
+with orjson's numpy serializer as its piece is taken, so a writer holds one
+array's text at a time; an all-zero array's text is made once per shape.
+``encode`` hands arrays, and every value written as it is, through uncopied,
+and ``decode`` copies an array it is handed, so a decoded object shares no
+memory with the original.
 
-Reading a saved text is the mirror, in `read_lattices`: orjson parses each
-array's text alone into an array, and ``json.loads`` parses the rest with a
-marker where each array stood, which the array's decoder exchanges for it. A
-text the reader cannot take exactly as the writer wrote it raises
-``ValueError``, and its caller reads it the old way, all of it by ``json``.
+Reading a saved file is the mirror, in `read_lattices`: orjson parses each
+array's bytes alone into an array, the file's buffer is emptied, and
+``json.loads`` parses the rest, decoded as strict UTF-8, with a marker where
+each array stood, which the array's decoder exchanges for it. A file the
+reader cannot take exactly as the writer wrote it raises ``ValueError``, and
+its caller reads it the old way, all of it by ``json``.
 
 Decoding refuses with ``TypeError`` or ``ValueError`` what a run could not
 save: another JSON type than the field's (an ``int`` takes only an integer, a
@@ -65,16 +68,18 @@ def decode(cls, data: dict, **refs):
 
 def dumps_canonical(obj) -> str:
     """``obj`` as canonical JSON text: sorted keys, no spaces, no non-finite number."""
-    return "".join(canonical_pieces(obj))
+    return b"".join(canonical_pieces(obj)).decode()
 
 
-def canonical_pieces(obj) -> list[str]:
-    """The text of `dumps_canonical` in pieces: each array's text apart, in
-    document order, between the pieces ``json.dumps`` wrote around it.
+def canonical_pieces(obj) -> typing.Iterator[bytes]:
+    """The UTF-8 text of `dumps_canonical` in pieces: each array's text apart,
+    in document order, between the pieces ``json.dumps`` wrote around it.
 
     ``json.dumps`` writes a marker string for each array. A string in ``obj``
     that equals the marker shows as one piece too many, and the next marker is
-    tried, so no input string can move an array's text.
+    tried, so no input string can move an array's text. What ``json.dumps``
+    refuses, and an array holding a non-finite value, is refused here; each
+    array's text is made only as its piece is taken.
     """
     for n in itertools.count():
         marker, arrays = f"\0ndarray {n}", []
@@ -89,15 +94,22 @@ def canonical_pieces(obj) -> list[str]:
                            default=hand_over).split(json.dumps(marker))
         if len(parts) == len(arrays) + 1:
             break
-    pieces = [parts[0]]
+    if not all(np.isfinite(a).all() for a in arrays if a.dtype.kind == "f"):
+        raise ValueError("Out of range float values are not JSON compliant")
+    return _spliced(parts, arrays)
+
+
+def _spliced(parts: list[str], arrays: list[np.ndarray]) -> typing.Iterator[bytes]:
+    """``parts`` with each array's text between two of them, made as it is taken."""
+    yield parts[0].encode()
     for array, part in zip(arrays, parts[1:]):
-        pieces += (lattice_text(array), part)
-    return pieces
+        yield lattice_text(array)
+        yield part.encode()
 
 
-def lattice_text(a: np.ndarray) -> str:
-    """``a`` as ``json.dumps(a.tolist(), separators=(",", ":"))`` writes it,
-    written by orjson, for a C-contiguous float64 or integer array.
+def lattice_text(a: np.ndarray) -> bytes:
+    """``a`` as ``json.dumps(a.tolist(), separators=(",", ":"))`` writes it, in
+    UTF-8, written by orjson, for a C-contiguous float64 or integer array.
 
     orjson picks the same shortest round-trip digits as ``repr`` but writes
     ``0.00001`` for ``1e-05`` and ``1e16`` for ``1e+16``, so the values below
@@ -110,7 +122,7 @@ def lattice_text(a: np.ndarray) -> str:
     cached text.
     """
     if a.dtype.kind != "f":
-        return orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+        return orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)
     if not np.count_nonzero(a.view(np.uint64)):  # -0.0 has its sign bit set
         return _zeros_text(a.shape)
     text = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)
@@ -125,7 +137,7 @@ def lattice_text(a: np.ndarray) -> str:
                 token = values[i].strip(b"[]")
                 values[i] = values[i].replace(token, repr(float(token)).encode())
             text = b",".join(values)
-    return text.decode()
+    return text
 
 
 # A longer text is scanned without being searched first: on a 2-vCPU x86 host,
@@ -135,16 +147,18 @@ _SEARCH_BYTES = 4096
 
 
 @functools.cache
-def _zeros_text(shape: tuple) -> str:
-    return orjson.dumps(np.zeros(shape), option=orjson.OPT_SERIALIZE_NUMPY).decode()
+def _zeros_text(shape: tuple) -> bytes:
+    return orjson.dumps(np.zeros(shape), option=orjson.OPT_SERIALIZE_NUMPY)
 
 
-def read_lattices(text: str, root: type, build):
-    """``build(doc)``, ``doc`` the JSON document in ``text``, with the value of
-    each ``np.ndarray`` field of ``root`` and of the dataclasses its fields hold
-    parsed by orjson into an array as it is found. Raises ``ValueError``, or
-    ``json``'s ``RecursionError``, where the text must be read the old way,
-    all of it by ``json``, to give exactly what that gives.
+def read_lattices(data: bytearray, root: type, build):
+    """``build(doc)``, ``doc`` the JSON document in the UTF-8 bytes ``data``,
+    with the value of each ``np.ndarray`` field of ``root`` and of the
+    dataclasses its fields hold parsed by orjson into an array as it is found.
+    Raises ``ValueError``, or ``json``'s ``RecursionError``, where the file
+    must be read the old way, all of it by ``json``, to give exactly what that
+    gives. ``data`` is emptied once its lattices are taken, before the rest is
+    parsed, or where it is refused, so its caller's buffer is freed then.
 
     A value is taken where its key (`_lattice_key`) is followed by ``:[``, and
     runs to the first run of as many ``]`` as it opens with. Where that is not
@@ -155,47 +169,25 @@ def read_lattices(text: str, root: type, build):
     of numbers; one of floats that reaches 2**63 in magnitude must hold no
     integer of 19 digits or more (`_LONG_INTEGER`), and its text must not
     hold ``true`` or ``false``, which numpy takes as 1 and 0 beside numbers.
-    An array whose text is `_zeros_text` of a shape met before is made as
-    zeros of that shape.
+    orjson parses each value in place, from a view of ``data``, and refuses
+    bytes that are not UTF-8. An array whose text is `_zeros_text` of a shape
+    met before is made as zeros of that shape.
 
-    The rest is parsed by ``json.loads`` with a marker, NUL and the array's
-    number, where each array stood; a text that spells NUL (``\\u0000``) or
-    holds a ``NaN``, ``Infinity`` or ``-Infinity`` token is refused. While
-    ``build`` runs, the ``np.ndarray`` decoder exchanges each marker for its
-    array, uncopied; a marker it was not handed, under such a key in
-    free-form JSON, refuses the text after ``build`` returns. A refusal that
-    ``build`` raises is its own.
+    The rest is decoded as strict UTF-8, so a byte-order mark stays a
+    character that ``json.loads`` refuses, as ``json`` refuses it in a file,
+    and parsed by ``json.loads`` with a marker, NUL and the array's number,
+    where each array stood; a text that spells NUL (``\\u0000``) or holds a
+    ``NaN``, ``Infinity`` or ``-Infinity`` token is refused. While ``build``
+    runs, the ``np.ndarray`` decoder exchanges each marker for its array,
+    uncopied; a marker it was not handed, under such a key in free-form JSON,
+    refuses the text after ``build`` returns. A refusal that ``build`` raises
+    is its own.
     """
-    pieces, pos, search = [], 0, _lattice_key(root).search
     arrays = {}
     token = _parsed.set(arrays)
     try:
-        while match := search(text, pos):
-            start = match.start(1)
-            end = text.index("]" * len(match[1]), start) + len(match[1])
-            span = text[start:end]
-            if span in _zero_shapes:
-                array = np.zeros(_zero_shapes[span])
-            elif "t" in span or "f" in span:  # numpy reads true and false as numbers
-                raise ValueError("a boolean among a lattice's cells")
-            else:
-                array = np.array(orjson.loads(span))
-                kind = array.dtype.kind
-                if kind not in "fiu":
-                    raise ValueError(f"a lattice of {array.dtype}")
-                if (kind == "f" and not abs(array).max(initial=0.0) < 2.0 ** 63
-                        and _LONG_INTEGER.search(span)):
-                    raise ValueError("an integer that orjson reads as a float")
-                if kind == "f" and not array.any():
-                    _zero_shapes[_zeros_text(array.shape)] = array.shape
-            marker = f"\0{len(arrays)}"
-            arrays[marker] = array
-            pieces += (text[pos:start], json.dumps(marker))
-            pos = end
-        pieces.append(text[pos:])
-        if any("\\u0000" in piece for piece in pieces[::2]):
-            raise ValueError("a string that could spell a marker")
-        result = build(json.loads("".join(pieces), parse_constant=refuse_non_finite))
+        result = build(json.loads(_rest(data, _lattice_key(root).search, arrays),
+                                  parse_constant=refuse_non_finite))
         if arrays:
             raise ValueError(f"{len(arrays)} lattices not read by an array field")
         return result
@@ -203,14 +195,54 @@ def read_lattices(text: str, root: type, build):
         _parsed.reset(token)
 
 
+def _rest(data: bytearray, search, arrays: dict) -> str:
+    """The text of ``data`` with a marker where each lattice that ``search``
+    finds stood, each lattice parsed into ``arrays`` by its marker. Empties
+    ``data`` once it is scanned, or fails to be, before it joins and decodes
+    the rest."""
+    pieces, pos = [], 0
+    try:
+        with memoryview(data) as view:
+            while match := search(data, pos):
+                start = match.start(1)
+                end = data.index(b"]" * len(match[1]), start) + len(match[1])
+                shape = _zero_shapes.get(end - start)
+                if shape is not None and data.startswith(_zeros_text(shape), start):
+                    array = np.zeros(shape)
+                # numpy reads true and false as numbers
+                elif data.find(b"t", start, end) != -1 or data.find(b"f", start, end) != -1:
+                    raise ValueError("a boolean among a lattice's cells")
+                else:
+                    with view[start:end] as span:  # parsed in place: a copy raised the peak memory
+                        array = np.array(orjson.loads(span))
+                        kind = array.dtype.kind
+                        if kind not in "fiu":
+                            raise ValueError(f"a lattice of {array.dtype}")
+                        if (kind == "f" and not abs(array).max(initial=0.0) < 2.0 ** 63
+                                and _LONG_INTEGER.search(span)):
+                            raise ValueError("an integer that orjson reads as a float")
+                    if kind == "f" and not array.any():
+                        _zero_shapes[len(_zeros_text(array.shape))] = array.shape
+                marker = f"\0{len(arrays)}"
+                arrays[marker] = array
+                pieces += (view[pos:start].tobytes(), json.dumps(marker).encode())
+                pos = end
+            pieces.append(view[pos:].tobytes())
+    finally:
+        data.clear()
+    if any(b"\\u0000" in piece for piece in pieces[::2]):
+        raise ValueError("a string that could spell a marker")
+    return b"".join(pieces).decode()
+
+
 # a number that starts with 19 digits: every integer of 2**63 or more in
 # magnitude, which orjson reads as a float, and a float written so
-_LONG_INTEGER = re.compile(r"(?:^|[\[,\s])-?\d{19}")
+_LONG_INTEGER = re.compile(rb"(?:^|[\[,\s])-?\d{19}")
 # the arrays `read_lattices` has read, by marker, until `build` takes them
 _parsed: contextvars.ContextVar[dict] = contextvars.ContextVar("parsed", default={})
-# the shape of each `_zeros_text` that `read_lattices` has met, which it then
-# reads as zeros without parsing it again
-_zero_shapes: dict[str, tuple] = {}
+# the shape of each `_zeros_text` that `read_lattices` has met, by the text's
+# length, which it then reads as zeros without parsing it again
+_zero_shapes: dict[int, tuple] = {}
 
 
 def refuse_non_finite(token: str):
@@ -238,7 +270,7 @@ def _lattice_key(root: type) -> re.Pattern:
                     (arrays if is_array else others).add(f.metadata.get("key", f.name))
                     todo.append(hint)
     keys = "|".join(map(re.escape, sorted(arrays - others)))
-    return re.compile(f'"(?:{keys})":(\\[+)')
+    return re.compile(f'"(?:{keys})":(\\[+)'.encode())
 
 
 def by_id(cls, ident: str) -> dict:

@@ -1,16 +1,18 @@
 """Save states, lock mode, the session log and environmental control rules.
 
 Save states are canonical JSON (`*.eden.json`): stable key order, shortest
-round-trip decimals, format_version gate. `save` builds the text in pieces with
-`eden.codec.canonical_pieces`, each lattice's text written by orjson, before it
-opens the temporary file, and writes them one by one. `load` is the mirror:
-`eden.codec.read_lattices` parses each lattice alone with orjson and the rest
-with `json`, and a state it does not take, not laid out as `save` writes it
-or refused, is read again by `read_json`, all of it by `json`. Saving, loading
-and saving again is a byte fixpoint, and the serialized RNG state makes
-resumed runs bit-identical to uninterrupted ones. A type's persisted state is
-its dataclass init fields, written and read by `eden.codec`; runtime-only
-attributes are `init=False`.
+round-trip decimals, format_version gate. `save` has
+`eden.codec.canonical_pieces` write the document around its lattices and check
+every lattice finite before it opens the temporary file, then writes the
+pieces to it as bytes as they are made, each lattice's text by orjson, so it
+holds one lattice's text at a time. `load` is the mirror: it reads the file
+into one buffer, `eden.codec.read_lattices` parses each lattice alone with
+orjson, frees the buffer and parses the rest with `json`, and a state it does
+not take, not laid out as `save` writes it or refused, is read again by
+`read_json`, all of it by `json`. Saving, loading and saving again is a byte
+fixpoint, and the serialized RNG state makes resumed runs bit-identical to
+uninterrupted ones. A type's persisted state is its dataclass init fields,
+written and read by `eden.codec`; runtime-only attributes are `init=False`.
 The session log (`*.session.jsonl`) is append-only, one record per epoch.
 Every other input file is read by `read_json` alone, and each refusal is an
 `InputError`.
@@ -111,12 +113,12 @@ def save(entity: Entity, path: str) -> None:
     }
     pieces = canonical_pieces(doc)  # a refusal raises before the file is opened
     tmp = path + ".tmp"
-    fh = open(tmp, "w", encoding="utf-8")
+    fh = open(tmp, "wb")
     try:
         with fh:
-            for piece in pieces:  # one by one: joined, they would raise the peak memory
+            for piece in pieces:  # each lattice's text is made as it is written
                 fh.write(piece)
-            fh.write("\n")
+            fh.write(b"\n")
         os.replace(tmp, path)
     except BaseException:  # a failed write or replace leaves no partial file behind
         with suppress(OSError):
@@ -125,13 +127,16 @@ def save(entity: Entity, path: str) -> None:
 
 
 def load(path: str) -> Entity:
-    """The entity saved at `path`, its lattices read by `read_lattices`. A
-    text that reader does not take, or that is refused, is read again by
+    """The entity saved at `path`, its lattices read by `read_lattices` from
+    the file's bytes, which it frees before it parses the rest. A file that
+    reader does not take, read short or refused, is read again by
     `read_json`, so each refusal is worded as that reading words it."""
     with suppress(OSError, ValueError, RecursionError):
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        return read_lattices(text, Entity, functools.partial(_entity, path=path))
+        with open(path, "rb") as fh:
+            data = bytearray(os.fstat(fh.fileno()).st_size)
+            if fh.readinto(data) != len(data):
+                raise ValueError(f"{path} changed size while it was read")
+        return read_lattices(data, Entity, functools.partial(_entity, path=path))
     return _entity(read_json(path, SaveStateError), path)
 
 

@@ -60,35 +60,35 @@ class TestLatticeText:
     @example(EDGES)
     @example(np.concatenate([EDGES, -EDGES]).reshape(2, 1, -1))
     def test_floats_as_the_oracle_writes_them(self, a):
-        assert lattice_text(a) == oracle(a)
+        assert lattice_text(a) == oracle(a).encode()
 
     @given(bit_patterns)
     def test_bit_patterns_as_the_oracle_writes_them(self, a):
-        assert lattice_text(a) == oracle(a)
+        assert lattice_text(a) == oracle(a).encode()
 
     def test_many_bit_patterns_as_the_oracle_writes_them(self):
         bits = np.random.default_rng(20).integers(0, 2 ** 64, 100_000, dtype=np.uint64)
         a = bits.view(np.float64)
         a = a[np.isfinite(a)][:99_000].reshape(-1, 10, 10)
-        assert lattice_text(a) == oracle(a)
+        assert lattice_text(a) == oracle(a).encode()
 
     @given(hnp.arrays(np.int8, shapes))
     def test_routers_as_the_oracle_writes_them(self, a):
-        assert lattice_text(a) == oracle(a)
+        assert lattice_text(a) == oracle(a).encode()
 
     @pytest.mark.parametrize("shape", [(1,), (7,), (3, 3), (4, 4, 8), (8, 8, 64)])
     def test_zero_lattices_as_the_oracle_writes_them(self, shape):
         a = np.zeros(shape)
-        assert lattice_text(a) == oracle(a)
+        assert lattice_text(a) == oracle(a).encode()
         a.reshape(-1)[-1] = -0.0  # equal to +0.0, but written with its sign
-        assert lattice_text(a) == oracle(a)
-        assert lattice_text(a).endswith("-0.0" + "]" * len(shape))
+        assert lattice_text(a) == oracle(a).encode()
+        assert lattice_text(a).endswith(b"-0.0" + b"]" * len(shape))
 
     @given(hnp.arrays(np.float64, shapes, elements=st.sampled_from(
         [0.0, -0.0, 0.5, 10.00001, 3e-5, 1e-7, 2e17, *EDGES])))
     @example(np.array([10.00001, 0.5, 100.00002]))  # 0.0000 in a text scanned for nothing
     def test_zeros_among_other_cells_as_the_oracle_writes_them(self, a):
-        assert lattice_text(a) == oracle(a)
+        assert lattice_text(a) == oracle(a).encode()
 
     @pytest.mark.parametrize("cells", [[0.5], [0.0], [-0.0], [3e-5], [0.5] * 999])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -276,8 +276,8 @@ class Lattice:
     meta: dict
 
 
-def read(text: str) -> Lattice:
-    return read_lattices(text, Lattice, functools.partial(decode, Lattice))
+def read(data: bytes) -> Lattice:
+    return read_lattices(bytearray(data), Lattice, functools.partial(decode, Lattice))
 
 
 class TestReadLattices:
@@ -295,7 +295,7 @@ class TestReadLattices:
         text = lattice_text(a)
         want = np.array(json.loads(text))
         for _ in range(2):  # a zero lattice read once is made from its shape
-            got = read('{"meta":{},"w":' + text + "}").w
+            got = read(b'{"meta":{},"w":' + text + b"}").w
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -303,26 +303,37 @@ class TestReadLattices:
                                        [2 ** 64 - 1], [0.5, 1], [[1.5e300], [-2.0 ** 62]]])
     def test_numbers_as_json_reads_them(self, cells):
         text = json.dumps(cells, separators=(",", ":"))
-        got, want = read('{"meta":{},"w":' + text + "}").w, np.array(json.loads(text))
+        got, want = read(f'{{"meta":{{}},"w":{text}}}'.encode()).w, np.array(json.loads(text))
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
     @pytest.mark.parametrize("text", [
-        '{"meta":{"w":[0.5]},"w":[0.5]}',  # a lattice's key in free-form JSON
-        '{"meta":{"note":"\\u0000"},"w":[0.5]}',  # a string that spells a marker
-        '{"meta":{},"w":[0.5,true]}',  # numpy reads true as 1.0
-        '{"meta":{},"w":[[1],[false]]}',
-        '{"meta":{},"w":[1,100000000000000000000]}',  # orjson reads it as 1e20
-        '{"meta":{},"w":[-9223372036854775809]}',
-        '{"meta":{},"w":[1e300,100000000000000000000]}',
-        '{"meta":{},"w":[0.5,1e999]}',
-        '{"meta":{},"w":[0.5,null]}',
-        '{"meta":{},"w":[0.5,"0.5"]}',
-        '{"meta":{},"w":[[0.5],[0.5,0.5]]}',  # not regular
-        '{"meta":{},"w":[[0.5],0.5]}',  # no "]]" ends it
-        '{"meta":{},"w":[[0.5],0.5],"x":[[0.5]]}',  # "]]" ends another value
-        '{"meta":{"x":NaN},"w":[0.5]}',
+        b'{"meta":{"w":[0.5]},"w":[0.5]}',  # a lattice's key in free-form JSON
+        b'{"meta":{"note":"\\u0000"},"w":[0.5]}',  # a string that spells a marker
+        b'{"meta":{},"w":[0.5,true]}',  # numpy reads true as 1.0
+        b'{"meta":{},"w":[[1],[false]]}',
+        b'{"meta":{},"w":[1,100000000000000000000]}',  # orjson reads it as 1e20
+        b'{"meta":{},"w":[-9223372036854775809]}',
+        b'{"meta":{},"w":[1e300,100000000000000000000]}',
+        b'{"meta":{},"w":[0.5,1e999]}',
+        b'{"meta":{},"w":[0.5,null]}',
+        b'{"meta":{},"w":[0.5,"0.5"]}',
+        b'{"meta":{},"w":[[0.5],[0.5,0.5]]}',  # not regular
+        b'{"meta":{},"w":[[0.5],0.5]}',  # no "]]" ends it
+        b'{"meta":{},"w":[[0.5],0.5],"x":[[0.5]]}',  # "]]" ends another value
+        b'{"meta":{"x":NaN},"w":[0.5]}',
     ])
     def test_refuses_what_it_cannot_read_exactly(self, text):
         with pytest.raises(ValueError):
             read(text)
         assert codec._parsed.get() == {}
+
+    @pytest.mark.parametrize("text", [b'{"meta":{},"w":[0.5]}', b'{"meta":{},"w":[0.5,true]}',
+                                      b'{"meta":{},"w":[0.5]', b'{"meta":{"note":"\xff"},"w":[0.5]}'])
+    def test_empties_the_buffer_it_reads(self, text):
+        """A caller's buffer is freed whether the text is read or refused."""
+        data = bytearray(text)
+        try:
+            read_lattices(data, Lattice, functools.partial(decode, Lattice))
+        except ValueError:
+            pass
+        assert data == b""
