@@ -261,7 +261,7 @@ class TestPeakMemory:
     bytes before it parses the rest of the document: each one's peak, as a
     multiple of the size of a file of 16 deep-sized nodes (1.7 MB).
 
-    On Python 3.11 `save` peaked at 0.67 times the file, where joining every
+    On Python 3.11 `save` peaked at 0.43 times the file, where joining every
     lattice's text before the write took 1.43 times, and `load` at 2.03
     times, which includes the entity it returns, where a reader that held
     the file decoded into a `str` until the entity was built took 2.17."""
