@@ -28,7 +28,9 @@ tensor: ``plane`` gives one plane as an X*Y array (the goal plane, backprop),
 in ``eden.functome``), and the router rewire and the stale-router sweep walk
 the record. The fields ``p`` and ``plane_energy_acc`` are placeholders that
 save-state format 1 writes: always +0.0, refused at load otherwise, and read
-by nothing else.
+by nothing else. Once checked, each is the one read-only zeros array of its
+shape that every tensor shares (`_cleared`), so nodes hold no copy of them
+and a write raises instead of reaching every node.
 
 A pass starts from no energy. The engine runs one pass per node per epoch and
 drops the record after a spike or at epoch end, so ``forward_propagate``
@@ -172,12 +174,23 @@ def plane_sum(cells: list[tuple[int, float]], size: int, lo: int = 0) -> float:
     return total
 
 
+@functools.cache
+def _cleared(shape: tuple) -> np.ndarray:
+    """The one all-+0.0 array of ``shape`` that every tensor's ``p`` or
+    ``plane_energy_acc`` of that shape holds, read-only: a write raises
+    instead of reaching every node."""
+    zeros = np.zeros(shape)
+    zeros.flags.writeable = False
+    return zeros
+
+
 @dataclass(eq=False)
 class PwrTensor:
     """Weight and router lattices plus the record of the current pass.
 
     ``p`` and ``plane_energy_acc`` are the all-+0.0 energy fields save-state
-    format 1 writes; nothing else reads them.
+    format 1 writes, read-only arrays shared by every tensor; nothing else
+    reads them.
     """
 
     dim_xy: int
@@ -193,7 +206,7 @@ class PwrTensor:
         if dim_xy < 1 or dim_z < 1:
             raise StructureError(f"tensor dims must be >= 1, got {dim_xy}x{dim_xy}x{dim_z}")
         shape = (dim_xy, dim_xy, dim_z)
-        self.p = np.zeros(shape) if self.p is None else float_lattice(self.p)
+        self.p = _cleared(shape) if self.p is None else float_lattice(self.p)
         self.w = np.ones(shape) if self.w is None else float_lattice(self.w)
         if self.r is None:
             self.r = np.full(shape, CENTER, dtype=np.int8)
@@ -205,10 +218,11 @@ class PwrTensor:
             except (OverflowError, ValueError) as exc:  # a listed value past int8, or NaN
                 raise StructureError(f"{bad_routers}: {exc}") from exc
             # The cast truncates 0.5 and wraps an array's 300, so it must give back
-            # the raw values. A lattice loaded by `json` alone is nested lists,
-            # compared as lists: cheaper than casting them again, and an int64
-            # copy per node raised the peak memory of the resume benchmark by
-            # ~4 MB. `True == 1`, so the lists are checked for booleans too.
+            # the raw values. `eden.codec.read_lattices` hands over routers as
+            # int8 already, kept as they are, uncast and uncopied. A lattice
+            # loaded by `json` alone is nested lists, compared as lists: cheaper
+            # than casting them again. `True == 1`, so the lists are checked for
+            # booleans too.
             if isinstance(raw, list):
                 _no_booleans(raw, self.r.ndim)
             same = self.r is raw or (self.r.tolist() == raw if isinstance(raw, list)
@@ -216,7 +230,7 @@ class PwrTensor:
             # read as uint8, a negative router is >= 128, so one max checks [0, 9)
             if not same or self.r.view(np.uint8).max(initial=0) >= len(ROUTER_OPTIONS):
                 raise StructureError(bad_routers)
-        self.plane_energy_acc = (np.zeros(dim_z) if self.plane_energy_acc is None
+        self.plane_energy_acc = (_cleared((dim_z,)) if self.plane_energy_acc is None
                                  else float_lattice(self.plane_energy_acc))
         for name, arr, want in (("p", self.p, shape), ("w", self.w, shape), ("r", self.r, shape),
                                 ("plane_energy_acc", self.plane_energy_acc, (dim_z,))):
@@ -227,6 +241,7 @@ class PwrTensor:
         # a state is saved between passes, so its energy is +0.0; -0.0 is refused too
         if self.p.view(np.uint64).any() or self.plane_energy_acc.view(np.uint64).any():
             raise StructureError("energy and plane energies must be +0.0 between passes")
+        self.p, self.plane_energy_acc = _cleared(shape), _cleared((dim_z,))
 
     @classmethod
     def random(cls, dim_xy: int, dim_z: int, rng) -> "PwrTensor":

@@ -20,12 +20,15 @@ array's text at a time; an all-zero array's text is made once per shape.
 and ``decode`` copies an array it is handed, so a decoded object shares no
 memory with the original.
 
-Reading a saved file is the mirror, in `read_lattices`: orjson parses each
-array's bytes alone into an array, the file's buffer is emptied, and
+Reading a saved file is the mirror, in `read_lattices`: each array's bytes
+are read alone into an array, the file's buffer is emptied, and
 ``json.loads`` parses the rest, decoded as strict UTF-8, with a marker where
-each array stood, which the array's decoder exchanges for it. A file the
-reader cannot take exactly as the writer wrote it raises ``ValueError``, and
-its caller reads it the old way, all of it by ``json``.
+each array stood, which the array's decoder exchanges for it. An array whose
+text has a fixed-width layout of a shape met before, the float zeros or
+integers of one digit a cell, is read from its bytes by numpy as ``float64``
+zeros or ``int8``; orjson parses any other. A file the reader cannot take
+exactly as the writer wrote it raises ``ValueError``, and its caller reads it
+the old way, all of it by ``json``.
 
 Decoding refuses with ``TypeError`` or ``ValueError`` what a run could not
 save: another JSON type than the field's (an ``int`` takes only an integer, a
@@ -164,7 +167,7 @@ def _zeros_text(shape: tuple) -> bytes:
 def read_lattices(data: bytearray, root: type, build):
     """``build(doc)``, ``doc`` the JSON document in the UTF-8 bytes ``data``,
     with the value of each ``np.ndarray`` field of ``root`` and of the
-    dataclasses its fields hold parsed by orjson into an array as it is found.
+    dataclasses its fields hold read into an array as it is found.
     Raises ``ValueError``, or ``json``'s ``RecursionError``, where the file
     must be read the old way, all of it by ``json``, to give exactly what that
     gives. ``data`` is emptied once its lattices are taken, before the rest is
@@ -180,8 +183,20 @@ def read_lattices(data: bytearray, root: type, build):
     integer of 19 digits or more (`_LONG_INTEGER`), and its text must not
     hold ``true`` or ``false``, which numpy takes as 1 and 0 beside numbers.
     orjson parses each value in place, from a view of ``data``, and refuses
-    bytes that are not UTF-8. An array whose text is `_zeros_text` of a shape
-    met before is made as zeros of that shape.
+    bytes that are not UTF-8. An array of integers that all lie from 0 to 9
+    is narrowed to ``int8``.
+
+    Each shape orjson has parsed has two fixed-width layouts (`_LAYOUTS`),
+    found by the length of their text: the text of its float zeros
+    (`_zeros_text`), and that of its integers with one digit a cell, whose
+    brackets and commas stand where they stand in the text of its integer
+    zeros. A value whose bytes match a layout of its length is read without
+    orjson, and with no Python object per cell, by `_fixed_width`: as
+    ``float64`` zeros, or each digit as an ``int8``, the array orjson would
+    give, narrowed. Any other byte, such as a second digit, a sign, a ``t``,
+    an ``f``, a ``.`` or whitespace, leaves the value to orjson. So of a
+    state as `save` writes it, orjson parses the weights and goal planes,
+    and of the zeros and routers only the first lattice of each shape.
 
     The rest is decoded as strict UTF-8, so a byte-order mark stays a
     character that ``json.loads`` refuses, as ``json`` refuses it in a file,
@@ -207,7 +222,7 @@ def read_lattices(data: bytearray, root: type, build):
 
 def _rest(data: bytearray, search, arrays: dict) -> str:
     """The text of ``data`` with a marker where each lattice that ``search``
-    finds stood, each lattice parsed into ``arrays`` by its marker. Empties
+    finds stood, each lattice read into ``arrays`` by its marker. Empties
     ``data`` once it is scanned, or fails to be, before it joins and decodes
     the rest."""
     pieces, pos = [], 0
@@ -216,23 +231,14 @@ def _rest(data: bytearray, search, arrays: dict) -> str:
             while match := search(data, pos):
                 start = match.start(1)
                 end = data.index(b"]" * len(match[1]), start) + len(match[1])
-                shape = _zero_shapes.get(end - start)
-                if shape is not None and data.startswith(_zeros_text(shape), start):
-                    array = np.zeros(shape)
-                # numpy reads true and false as numbers
-                elif data.find(b"t", start, end) != -1 or data.find(b"f", start, end) != -1:
-                    raise ValueError("a boolean among a lattice's cells")
-                else:
+                array = _fixed_width(data, start, end)
+                if array is None:
+                    # numpy reads true and false as numbers
+                    if data.find(b"t", start, end) != -1 or data.find(b"f", start, end) != -1:
+                        raise ValueError("a boolean among a lattice's cells")
                     with view[start:end] as span:  # parsed in place: a copy raised the peak memory
-                        array = np.array(orjson.loads(span))
-                        kind = array.dtype.kind
-                        if kind not in "fiu":
-                            raise ValueError(f"a lattice of {array.dtype}")
-                        if (kind == "f" and not abs(array).max(initial=0.0) < 2.0 ** 63
-                                and _LONG_INTEGER.search(span)):
-                            raise ValueError("an integer that orjson reads as a float")
-                    if kind == "f" and not array.any():
-                        _zero_shapes[len(_zeros_text(array.shape))] = array.shape
+                        array = _parsed_lattice(span)
+                    _learn(array.shape)
                 marker = f"\0{len(arrays)}"
                 arrays[marker] = array
                 pieces += (view[pos:start].tobytes(), json.dumps(marker).encode())
@@ -245,14 +251,70 @@ def _rest(data: bytearray, search, arrays: dict) -> str:
     return b"".join(pieces).decode()
 
 
+def _parsed_lattice(span: memoryview) -> np.ndarray:
+    """The array that orjson parses from ``span``, refused where it is not
+    the array ``json`` reads there, and narrowed to ``int8`` where every cell
+    is an integer from 0 to 9, as `_fixed_width` reads such a lattice."""
+    array = np.array(orjson.loads(span))
+    kind = array.dtype.kind
+    if kind not in "fiu":
+        raise ValueError(f"a lattice of {array.dtype}")
+    if kind == "f":
+        if not abs(array).max(initial=0.0) < 2.0 ** 63 and _LONG_INTEGER.search(span):
+            raise ValueError("an integer that orjson reads as a float")
+        return array
+    if 0 <= array.min(initial=0) and array.max(initial=0) <= 9:
+        return array.astype(np.int8)
+    return array
+
+
+def _fixed_width(data: bytearray, start: int, end: int) -> typing.Optional[np.ndarray]:
+    """The array whose text is ``data[start:end]``, where that is one of the
+    `_LAYOUTS` of its length, or ``None``. Each byte lies from 0 to its
+    layout's limit above the layout's text, or below it, which wraps far
+    past any limit: so the brackets and commas are the layout's, and each
+    cell a digit or the float zeros' ``0.0``."""
+    for layout in _LAYOUTS.get(end - start, ()):
+        above = np.frombuffer(data, np.uint8, end - start, start) - layout.text
+        if not (above > layout.limit).any():
+            if layout.cells is None:
+                return np.zeros(layout.shape)
+            return above[layout.cells].view(np.int8).reshape(layout.shape)
+    return None
+
+
+class _Layout(typing.NamedTuple):
+    """The fixed-width text of a shape's float zeros, or of its integer
+    lattices with one digit per cell, as orjson writes them."""
+    shape: tuple
+    text: np.ndarray  # the text of the shape's zeros, as bytes
+    limit: np.ndarray  # how far above its text a byte may lie: 9 at a digit, else 0
+    cells: typing.Optional[np.ndarray]  # each digit's position; None for the float zeros
+
+
+def _learn(shape: tuple) -> None:
+    """Add the two layouts of ``shape`` to `_LAYOUTS`, unless they are there:
+    its float zeros first, whose text an empty shape's integers share."""
+    zeros = np.frombuffer(_zeros_text(shape), np.uint8)
+    if any(layout.shape == shape for layout in _LAYOUTS.get(zeros.size, ())):
+        return
+    ints = np.frombuffer(orjson.dumps(np.zeros(shape, np.int64),
+                                      option=orjson.OPT_SERIALIZE_NUMPY), np.uint8)
+    digits = ints == ord("0")
+    for layout in (_Layout(shape, zeros, np.zeros_like(zeros), None),
+                   _Layout(shape, ints, np.where(digits, 9, 0).astype(np.uint8),
+                           np.flatnonzero(digits))):
+        _LAYOUTS.setdefault(layout.text.size, []).append(layout)
+
+
 # a number that starts with 19 digits: every integer of 2**63 or more in
 # magnitude, which orjson reads as a float, and a float written so
 _LONG_INTEGER = re.compile(rb"(?:^|[\[,\s])-?\d{19}")
 # the arrays `read_lattices` has read, by marker, until `build` takes them
 _parsed: contextvars.ContextVar[dict] = contextvars.ContextVar("parsed", default={})
-# the shape of each `_zeros_text` that `read_lattices` has met, by the text's
-# length, which it then reads as zeros without parsing it again
-_zero_shapes: dict[int, tuple] = {}
+# the layouts of each shape that `read_lattices` has parsed, by the length of
+# their text, which it then reads without parsing
+_LAYOUTS: dict[int, list[_Layout]] = {}
 
 
 def refuse_non_finite(token: str):

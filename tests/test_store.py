@@ -8,7 +8,7 @@ import numpy as np
 import orjson
 import pytest
 
-from eden.cem import GoalPlane
+from eden.cem import GoalPlane, PwrTensor
 from eden.config import EngineConfig
 from eden.runner import OutputProbe, input_probe_from_spec, run_epoch, seed_entity
 from eden import codec, store
@@ -181,8 +181,8 @@ def not_utf8(damage):
 
 class TestLatticeReader:
     """`store.load` reads the lattices of a state as `save` writes it with
-    orjson, and any other text the old way, all of it by `json`, to the same
-    entity or the same refusal."""
+    orjson or by their shape's fixed-width layout, and any other text the old
+    way, all of it by `json`, to the same entity or the same refusal."""
 
     def test_engine_written_state_is_read_by_orjson(self, tmp_path, monkeypatch):
         path = str(tmp_path / "e.eden.json")
@@ -190,10 +190,16 @@ class TestLatticeReader:
         texts, loads = [], orjson.loads
         monkeypatch.setattr(orjson, "loads", lambda text: texts.append(text) or loads(text))
         monkeypatch.setattr(store, "read_json", lambda *args: pytest.fail("read the old way"))
+        routers, post_init = [], PwrTensor.__post_init__
+        monkeypatch.setattr(PwrTensor, "__post_init__",
+                            lambda tensor: routers.append(tensor.r) or post_init(tensor))
         entity = store.load(path)
-        # every `w` and `r` and the goal's cells; of the all-zero `p` and
-        # `plane_energy_acc`, at most the first of each shape
-        assert 2 * len(entity.nodes) + 1 <= len(texts) <= 2 * len(entity.nodes) + 3
+        # every `w` and the goal's cells; of the all-zero `p` and
+        # `plane_energy_acc` and of the one-digit `r`, at most the first of each shape
+        assert len(entity.nodes) + 1 <= len(texts) <= len(entity.nodes) + 3
+        # each `r` is handed over as int8 and kept, not cast
+        assert [r.dtype for r in routers] == [np.int8] * len(entity.nodes)
+        assert all(node.cem.r is r for node, r in zip(entity.nodes.values(), routers))
         first = open(path, "rb").read()
         store.save(entity, path)
         assert open(path, "rb").read() == first
@@ -258,13 +264,17 @@ def traced_peak(work) -> int:
 
 class TestPeakMemory:
     """`save` holds one lattice's text at a time, and `load` frees the file's
-    bytes before it parses the rest of the document: each one's peak, as a
-    multiple of the size of a file of 16 deep-sized nodes (1.7 MB).
+    bytes before it parses the rest of the document and reads each router
+    lattice straight to int8: each one's peak, and the memory the loaded
+    entity holds, as a multiple of the size of a file of 16 deep-sized nodes
+    (1.7 MB).
 
     On Python 3.11 `save` peaked at 0.43 times the file, where joining every
-    lattice's text before the write took 1.43 times, and `load` at 2.03
-    times, which includes the entity it returns, where a reader that held
-    the file decoded into a `str` until the entity was built took 2.17."""
+    lattice's text before the write took 1.43 times, and `load` at 1.77
+    times, which includes the entity it returns, where parsing each router
+    lattice to int64 took 2.03 and a reader that held the file decoded into
+    a `str` until the entity was built took 2.17. The entity holds 0.45
+    times, where one all-+0.0 `p` and `plane_energy_acc` per node took 0.76."""
 
     @pytest.fixture(scope="class")
     def state(self, tmp_path_factory):
@@ -280,7 +290,18 @@ class TestPeakMemory:
 
     def test_load(self, state):
         _, path = state
-        assert traced_peak(lambda: store.load(path)) < 2.1 * os.path.getsize(path)
+        assert traced_peak(lambda: store.load(path)) < 1.9 * os.path.getsize(path)
+
+    def test_loaded_entity(self, state):
+        _, path = state
+        tracemalloc.start()
+        try:
+            entity = store.load(path)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(entity.nodes) == 16
+        assert held < 0.55 * os.path.getsize(path)
 
 
 class TestLock:
