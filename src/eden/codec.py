@@ -11,14 +11,18 @@ field the decoder takes as a second argument; `by_id` and `sorted_by` give
 the metadata of collections saved as ordered lists. Each class's converter
 plan is built once and cached, so saving does no per-value type dispatch.
 
-Writing goes through `canonical_pieces`, in UTF-8 bytes: ``json.dumps``
-writes the document with a marker where each ``np.ndarray`` stands, one
-``np.isfinite`` pass checks every array, and `lattice_text` writes each array
-with orjson's numpy serializer as its piece is taken, so a writer holds one
-array's text at a time; an all-zero array's text is made once per shape.
-``encode`` hands arrays, and every value written as it is, through uncopied,
-and ``decode`` copies an array it is handed, so a decoded object shares no
-memory with the original.
+Writing goes through `canonical_pieces`, in UTF-8 bytes. ``json``'s C
+encoder writes the document with a marker where each ``np.ndarray`` and each
+`by_id` collection stands, and one ``np.isfinite`` pass checks every float
+array before the first piece is made, those of the collections reached by
+their type hints. Each record of a collection is encoded and dumped only as
+the writer reaches it, and `lattice_text` writes each array with orjson's
+numpy serializer as its piece is taken, so a writer holds one record's text
+and one array's text at a time; an all-zero array's text is made once per
+shape. ``encode`` hands arrays, and every value written as it is, through
+uncopied, and a `by_id` collection as the `Records` of its objects; ``decode``
+copies an array it is handed, so a decoded object shares no memory with the
+original.
 
 Reading a saved file is the mirror, in `read_lattices`: each array's bytes
 are read alone into an array, the file's buffer is emptied, and
@@ -43,7 +47,6 @@ from __future__ import annotations
 import contextvars
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import operator
@@ -75,39 +78,145 @@ def dumps_canonical(obj) -> str:
 
 
 def canonical_pieces(obj) -> typing.Iterator[bytes]:
-    """The UTF-8 text of `dumps_canonical` in pieces: each array's text apart,
-    in document order, between the pieces ``json.dumps`` wrote around it.
+    """The UTF-8 text of `dumps_canonical` in pieces, made as they are taken:
+    each array's text apart, and each record of a `Records` dumped only once
+    the pieces before it are taken, so a writer holds one record's text at a
+    time.
 
-    ``json.dumps`` writes a marker string for each array. A string in ``obj``
-    that equals the marker shows as one piece too many, and the next marker is
-    tried, so no input string can move an array's text. What ``json.dumps``
-    refuses, and an array holding a non-finite value, is refused here; each
-    array's text is made only as its piece is taken.
+    The rest of ``obj`` is dumped at once, with a marker string where each
+    array or `Records` stands. A string that equals the marker shows as one
+    piece too many, and the next marker is tried, so no input string can move
+    an array's text; each record is dumped by the same rule, and only that
+    record is tried again. Every float array of the rest, and each one that
+    the records' type hints reach (`_arrays_in`), is checked finite before
+    the first piece is made. What only a record's dump meets, such as a
+    non-finite number or a value ``json`` cannot write, is refused as that
+    record is made, as ``json.dumps`` refuses it.
     """
-    for n in itertools.count():
-        marker, arrays = f"\0ndarray {n}", []
-
-        def hand_over(value):
-            if not isinstance(value, np.ndarray):
-                raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    dump = _dumper()
+    parts, handed = dump(obj)
+    arrays = []
+    for value in handed:
+        if type(value) is not Records:
             arrays.append(value)
-            return marker
-
-        parts = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False,
-                           default=hand_over).split(json.dumps(marker))
-        if len(parts) == len(arrays) + 1:
-            break
-    if not all(np.isfinite(a).all() for a in arrays if a.dtype.kind == "f"):
+        elif add := _arrays_in(value.cls):
+            for item in value.objs:
+                add(arrays, item)
+    # an array that several fields share, as each shape's zeros, is checked once
+    unique = {id(a): a for a in arrays}.values()
+    if not all(np.isfinite(a).all() for a in unique
+               if isinstance(a, np.ndarray) and a.dtype.kind == "f"):
         raise ValueError("Out of range float values are not JSON compliant")
-    return _spliced(parts, arrays)
+    return _spliced(dump, [(parts, handed)])
 
 
-def _spliced(parts: list[str], arrays: list[np.ndarray]) -> typing.Iterator[bytes]:
-    """``parts`` with each array's text between two of them, made as it is taken."""
-    yield parts[0].encode()
-    for array, part in zip(arrays, parts[1:]):
-        yield lattice_text(array)
-        yield part.encode()
+def _spliced(dump, dumps: typing.Iterable[tuple[list[str], list]],
+             separator: str = "") -> typing.Iterator[bytes]:
+    """The text of each of ``dumps``, ``separator`` between two: its parts,
+    with the text of each value handed over between two of them, an array's
+    by `lattice_text` and a `Records`' as the JSON array of its records, each
+    encoded and dumped by ``dump`` only as the pieces before it are taken."""
+    opening = ""
+    for parts, handed in dumps:
+        yield (opening + parts[0]).encode()
+        for value, part in zip(handed, parts[1:]):
+            if type(value) is Records:
+                yield b"["
+                yield from _spliced(dump, map(dump, map(encode, value.objs)), ",")
+                yield b"]"
+            else:
+                yield lattice_text(value)
+            yield part.encode()
+        opening = separator
+
+
+def _dumper() -> typing.Callable[[typing.Any], tuple[list[str], list]]:
+    """The function that dumps a value with ``json``'s C encoder, made once
+    for a document and called for its rest and for each of its records, and
+    returns the text split where each array and `Records` it met stands, and
+    those values, in document order. ``json.dumps`` makes an encoder on every
+    call: one call a record took 0.3-0.8 ms more a save of a benchmark
+    workload's final state, 2-5% of its CPU time on a 2-vCPU x86 host."""
+    marker, handed = "", []
+
+    def hand_over(value):
+        if not isinstance(value, (np.ndarray, Records)):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        handed.append(value)
+        return marker
+
+    encoder = json.encoder.c_make_encoder(
+        {}, hand_over, json.encoder.encode_basestring_ascii, None, ":", ",",
+        True, False, False)  # sort_keys, not skipkeys, not allow_nan
+
+    def dump(obj) -> tuple[list[str], list]:
+        nonlocal marker, handed
+        n = 0
+        while True:
+            marker, quoted = _marker(n)
+            handed = values = []
+            text = "".join(encoder(obj, 0))
+            if not values:  # no marker written, so none to find
+                return [text], values
+            parts = text.split(quoted)
+            if len(parts) == len(values) + 1:
+                return parts, values
+            n += 1
+    return dump
+
+
+@functools.cache
+def _marker(n: int) -> tuple[str, str]:
+    """The ``n``-th marker string, and its JSON text."""
+    marker = f"\0ndarray {n}"
+    return marker, json.dumps(marker)
+
+
+class Records:
+    """A `by_id` collection as `encode` gives it: its objects in the order
+    stored, each encoded only as it is reached. Iterating it gives their
+    encodings, which `decode` takes as it takes the list a file holds; a
+    writer writes it as that list, one record at a time."""
+    __slots__ = ("cls", "objs")
+
+    def __init__(self, cls: type, objs: tuple):
+        self.cls, self.objs = cls, objs
+
+    def __iter__(self):
+        return map(encode, self.objs)
+
+
+@functools.cache
+def _arrays_in(tp) -> typing.Optional[typing.Callable[[list, typing.Any], None]]:
+    """The function ``add(arrays, value)`` that appends to ``arrays`` each
+    ``np.ndarray`` that a value of the annotation ``tp`` holds, reached by
+    the type hints of the dataclasses it holds, as `_lattice_key` finds their
+    keys; ``None`` where ``tp`` holds no array. A list, tuple or set is taken
+    to hold its first argument's type, as `converters` takes it, and ``None``
+    holds no array."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is typing.Union and len(args) == 2 and type(None) in args:
+        return _arrays_in(next(a for a in args if a is not type(None)))
+    if tp is np.ndarray:
+        return list.append
+    if dataclasses.is_dataclass(tp):
+        hints = typing.get_type_hints(tp)
+        adds = tuple((f.name, add) for f in dataclasses.fields(tp)
+                     if f.init and (add := _arrays_in(hints[f.name])))
+
+        def add_fields(arrays, obj):
+            for name, add in adds:
+                if (value := getattr(obj, name)) is not None:
+                    add(arrays, value)
+        return add_fields if adds else None
+    if origin in (list, tuple, set, dict) and (add := _arrays_in(args[-1] if origin is dict
+                                                                  else args[0])):
+        def add_items(arrays, items):
+            for item in (items.values() if origin is dict else items):
+                if item is not None:
+                    add(arrays, item)
+        return add_items
+    return None
 
 
 def lattice_text(a: np.ndarray) -> bytes:
@@ -347,8 +456,10 @@ def _lattice_key(root: type) -> re.Pattern:
 
 def by_id(cls, ident: str) -> dict:
     """The metadata of an ``{id: cls}`` dict saved as its values in the order
-    stored, which the dict's owner keeps in id order."""
-    return {"codec": (lambda objs: [encode(obj) for obj in objs.values()],
+    stored, which the dict's owner keeps in id order: encoded as the
+    `Records` of its values, which a writer encodes one at a time as it
+    writes them, and decoded from the list of their encodings."""
+    return {"codec": (lambda objs: Records(cls, tuple(objs.values())),
                       lambda items: keyed(ident, [decode(cls, d) for d in items]))}
 
 

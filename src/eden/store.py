@@ -2,14 +2,16 @@
 
 Save states are canonical JSON (`*.eden.json`): stable key order, shortest
 round-trip decimals, format_version gate. `save` has
-`eden.codec.canonical_pieces` write the document around its lattices and check
-every lattice finite before it opens the temporary file, then writes the
-pieces to it as bytes as they are made, each lattice's text by orjson, so it
-holds one lattice's text at a time. `load` is the mirror: it reads the file
-into one buffer, `eden.codec.read_lattices` parses each lattice alone with
-orjson, frees the buffer and parses the rest with `json`, and a state it does
-not take, not laid out as `save` writes it or refused, is read again by
-`read_json`, all of it by `json`. Saving, loading and saving again is a byte
+`eden.codec.canonical_pieces` dump the document but its nodes, functomes and
+payloads, and check every lattice finite, before it opens the temporary file.
+It then writes the pieces to it as bytes as they are made: each node,
+functome and payload is encoded and dumped as it is reached, and each
+lattice's text is made by orjson, so it holds one record's text at a time.
+`load` is the mirror: it reads the file into one buffer,
+`eden.codec.read_lattices` parses each lattice alone with orjson, frees the
+buffer and parses the rest with `json`, and a state it does not take, not
+laid out as `save` writes it or refused, is read again by `read_json`, all
+of it by `json`. Saving, loading and saving again is a byte
 fixpoint, and the serialized RNG state makes resumed runs bit-identical to
 uninterrupted ones. A type's persisted state is its dataclass init fields,
 written and read by `eden.codec`; runtime-only attributes are `init=False`.
@@ -105,6 +107,14 @@ def check_writable(path: str) -> None:
 
 
 def save(entity: Entity, path: str) -> None:
+    """Write `entity` to `path` through a temporary file that replaces it.
+
+    A lattice with a non-finite cell is refused before the temporary file is
+    opened. Each node, functome and payload is encoded and written as it is
+    reached, so a refusal that only its dump meets, such as a non-finite
+    number or a value `json` cannot write, raises while the file is open;
+    the file is then removed and the state at `path` left as it was.
+    """
     doc = {
         "format_version": FORMAT_VERSION,
         "locked": entity.locked,
@@ -116,7 +126,7 @@ def save(entity: Entity, path: str) -> None:
     fh = open(tmp, "wb")
     try:
         with fh:
-            for piece in pieces:  # each lattice's text is made as it is written
+            for piece in pieces:  # each record and lattice is made as it is written
                 fh.write(piece)
             fh.write(b"\n")
         os.replace(tmp, path)

@@ -7,11 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from eden import cli, store
+from eden import cli, codec, store
 from eden.cli import (EXIT_CONFIG, EXIT_DIVERGENT, EXIT_MISSING, EXIT_OK, EXIT_RUNTIME,
                       EXIT_SCHEMA, main)
 from eden.functome import ActionGene
 from eden.grid import TRANSMITTER
+from eden.node import ProcessNode
 from eden.runner import OutputProbe, input_probe_from_spec
 
 
@@ -199,12 +200,13 @@ class TestTrain:
         assert records[0]["environment_events"] != []
         assert records[1]["environment_events"] == []
 
-    @pytest.mark.parametrize("failure", ["epoch", "append", "save"])
+    @pytest.mark.parametrize("failure", ["epoch", "append", "save", "record"])
     def test_failed_session_leaves_state_and_log_as_they_were(self, tmp_path, state_path,
                                                               monkeypatch, failure):
         """A session that fails after epoch 0 has run, in its third epoch, in
         its third append after the record reached the log, or in the save after
-        its last, exits 5 and truncates the log back to the records of the
+        its last, as the file is replaced or as the save encodes its second
+        node, exits 5 and truncates the log back to the records of the
         sessions before it."""
         pattern = write_pattern(tmp_path, state_path)
         log = tmp_path / "run.session.jsonl"
@@ -232,14 +234,25 @@ class TestTrain:
                 appended.append(append(*args))
 
             monkeypatch.setattr(store, "append_session_record", fail_third_append)
-        else:
+        elif failure == "save":
             def refuse(src, dst):
                 raise OSError(5, "injected failure")
 
             monkeypatch.setattr(store.os, "replace", refuse)
+        else:
+            encoded, encode = [], codec.encode
+
+            def fail_second_node(obj):
+                if isinstance(obj, ProcessNode):
+                    encoded.append(obj.id)
+                    if len(encoded) == 2:
+                        raise RuntimeError("injected failure")
+                return encode(obj)
+
+            monkeypatch.setattr(codec, "encode", fail_second_node)
         assert main(["train", "--state", state_path, "--epochs", "4",
                      "--log", str(log)]) == EXIT_RUNTIME
-        assert len(appended) == (4 if failure == "save" else 2)
+        assert len(appended) == (4 if failure in ("save", "record") else 2)
         assert (open(state_path, "rb").read(), log.read_bytes()) == before
 
     @pytest.mark.parametrize("repeating", [True, pytest.param(False, marks=pytest.mark.xfail(

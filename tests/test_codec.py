@@ -11,7 +11,7 @@ from unittest import mock
 import numpy as np
 import orjson
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from eden import codec, store
@@ -26,9 +26,16 @@ from eden.runner import InputProbe, run_epoch, seed_entity
 
 
 def oracle(obj) -> str:
-    """The canonical JSON text as written before orjson wrote the lattices."""
+    """The canonical JSON text as written before orjson wrote the lattices,
+    and before each `by_id` collection was written one record at a time."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False,
-                      default=np.ndarray.tolist)
+                      default=as_written)
+
+
+def as_written(value):
+    """An array as the list it writes, and the records of a `codec.Records` as
+    the list of their encodings."""
+    return list(value) if isinstance(value, codec.Records) else np.ndarray.tolist(value)
 
 
 def oracle_save(entity) -> bytes:
@@ -180,6 +187,27 @@ class TestSave:
         data = saved(entity, tmp_path / "e.eden.json")
         assert data == oracle_save(entity)
         assert text in json.loads(data)["entity"]["grid"]["payloads"][0]["properties"]["note"]
+
+    @settings(max_examples=30, deadline=None)
+    @given(trained_entities(), st.lists(st.sampled_from(FORGED) | st.text(max_size=4),
+                                        min_size=1, max_size=4))
+    @example(seed_entity(EngineConfig(initial_nodes=2, dim_xy=2, dim_z=3, seed=4)), FORGED)
+    def test_marker_strings_inside_records_saved_as_the_oracle_writes_them(
+            self, tmp_path_factory, entity, strings):
+        """Strings that equal a marker in the free-form JSON of a payload and
+        of a functome, and among a node's architector targets: the node's
+        record hands its lattices over, so its dump alone tries the next
+        marker."""
+        assume(entity.nodes)  # a trained entity can lose every node
+        entity.grid.stage(TRANSMITTER, 0, (1.0, 1.0, 1.0), 1.0, 3,
+                          properties={"excitatory": 1, **dict(zip("abcd", strings))})
+        entity.grid.commit()
+        entity.functomes[min(entity.functomes)].metadata.update(zip("abcd", strings))
+        entity.nodes[min(entity.nodes)].allowed_arch_indices.update(enumerate(strings))
+        path = tmp_path_factory.mktemp("save") / "e.eden.json"
+        data = saved(entity, path)
+        assert data == oracle_save(entity)
+        assert saved(store.load(str(path)), path) == data
 
 
 class TestDecodeCopies:

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eden.codec import decode, encode
+from eden.codec import decode, dumps_canonical, encode
 from eden.grid import ARCHITECTOR, TRANSMITTER, GridError, NeuralGrid, TransArchPayload
 
 from reference_engine import (reference_density_gradient, reference_filtered_query,
@@ -263,7 +263,7 @@ class TestPersistence:
                 properties={"target_action": "Apoptosis"})
         g.commit()
         g2 = decode(NeuralGrid, encode(g))
-        assert encode(g2) == encode(g)
+        assert dumps_canonical(encode(g2)) == dumps_canonical(encode(g))
         assert [pl.pid for pl in g2.query_radius((1, 2, 3), 0.5)] == \
                [pl.pid for pl in g.query_radius((1, 2, 3), 0.5)]
 
