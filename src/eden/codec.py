@@ -8,21 +8,24 @@ irregular ones: ``"key"`` renames the JSON key, ``"codec"`` gives an
 ``(encode, decode)`` pair, where a ``None`` decoder marks a reference the
 caller passes to ``decode`` by field name, and ``"reads"`` names an earlier
 field the decoder takes as a second argument; `by_id` and `sorted_by` give
-the metadata of collections saved as ordered lists. Each class's converter
-plan is built once and cached, so saving does no per-value type dispatch.
+the metadata of collections saved as ordered lists, one record an item. Each
+class's converter plan is built once and cached, so saving does no per-value
+type dispatch.
 
-Writing goes through `canonical_pieces`, in UTF-8 bytes. ``json``'s C
-encoder writes the document with a marker where each ``np.ndarray`` and each
-`by_id` collection stands, and one ``np.isfinite`` pass checks every float
-array before the first piece is made, those of the collections reached by
-their type hints. Each record of a collection is encoded and dumped only as
-the writer reaches it, and `lattice_text` writes each array with orjson's
+Writing goes through `canonical_pieces`, in UTF-8 bytes. The document is
+dumped with a marker where each ``np.ndarray`` and each `by_id` or
+`sorted_by` collection stands, and one ``np.isfinite`` pass checks every
+float array before the first piece is made, those of the collections reached
+by their type hints. Each record of a collection is encoded and dumped only
+as the writer reaches it, and `lattice_text` writes each array with orjson's
 numpy serializer as its piece is taken, so a writer holds one record's text
 and one array's text at a time; an all-zero array's text is made once per
-shape. ``encode`` hands arrays, and every value written as it is, through
-uncopied, and a `by_id` collection as the `Records` of its objects; ``decode``
-copies an array it is handed, so a decoded object shares no memory with the
-original.
+shape. orjson dumps the document's rest and each record first, and its text
+is kept where it is provably the text of ``json``'s C encoder, which writes
+any other (`_dumper`). ``encode`` hands arrays, and every value written as it
+is, through uncopied, and a collection as the `Records` of its objects;
+``decode`` copies an array it is handed, so a decoded object shares no memory
+with the original.
 
 Reading a saved file is the mirror, in `read_lattices`: each array's bytes
 are read alone into an array, the file's buffer is emptied, and
@@ -83,10 +86,11 @@ def canonical_pieces(obj) -> typing.Iterator[bytes]:
     the pieces before it are taken, so a writer holds one record's text at a
     time.
 
-    The rest of ``obj`` is dumped at once, with a marker string where each
-    array or `Records` stands. A string that equals the marker shows as one
-    piece too many, and the next marker is tried, so no input string can move
-    an array's text; each record is dumped by the same rule, and only that
+    The rest of ``obj`` is dumped at once by `_dumper`, orjson's text kept
+    where it is ``json``'s, with a marker string where each array or
+    `Records` stands. A string that equals the marker shows as one piece too
+    many, and the next marker is tried, so no input string can move an
+    array's text; each record is dumped by the same rule, and only that
     record is tried again. Every float array of the rest, and each one that
     the records' type hints reach (`_arrays_in`), is checked finite before
     the first piece is made. What only a record's dump meets, such as a
@@ -110,33 +114,41 @@ def canonical_pieces(obj) -> typing.Iterator[bytes]:
     return _spliced(dump, [(parts, handed)])
 
 
-def _spliced(dump, dumps: typing.Iterable[tuple[list[str], list]],
-             separator: str = "") -> typing.Iterator[bytes]:
+def _spliced(dump, dumps: typing.Iterable[tuple[list[bytes], list]],
+             separator: bytes = b"") -> typing.Iterator[bytes]:
     """The text of each of ``dumps``, ``separator`` between two: its parts,
     with the text of each value handed over between two of them, an array's
     by `lattice_text` and a `Records`' as the JSON array of its records, each
     encoded and dumped by ``dump`` only as the pieces before it are taken."""
-    opening = ""
+    opening = b""
     for parts, handed in dumps:
-        yield (opening + parts[0]).encode()
+        yield opening + parts[0]
         for value, part in zip(handed, parts[1:]):
             if type(value) is Records:
                 yield b"["
-                yield from _spliced(dump, map(dump, map(encode, value.objs)), ",")
+                yield from _spliced(dump, map(dump, map(encode, value.objs)), b",")
                 yield b"]"
             else:
                 yield lattice_text(value)
-            yield part.encode()
+            yield part
         opening = separator
 
 
-def _dumper() -> typing.Callable[[typing.Any], tuple[list[str], list]]:
-    """The function that dumps a value with ``json``'s C encoder, made once
-    for a document and called for its rest and for each of its records, and
-    returns the text split where each array and `Records` it met stands, and
-    those values, in document order. ``json.dumps`` makes an encoder on every
-    call: one call a record took 0.3-0.8 ms more a save of a benchmark
-    workload's final state, 2-5% of its CPU time on a 2-vCPU x86 host."""
+def _dumper() -> typing.Callable[[typing.Any], tuple[list[bytes], list]]:
+    """The function that dumps a value, made once for a document and called
+    for its rest and for each of its records, and returns the UTF-8 text
+    split where each array and `Records` it met stands, and those values, in
+    document order. The value is of the domain `encode` gives: dicts, lists,
+    tuples, strings, ints, floats, booleans, ``None``, arrays and `Records`.
+
+    orjson dumps it first, and its text is kept where `_orjson_text` finds it
+    the text ``json`` writes; any other text, and a value orjson refuses with
+    ``TypeError``, is dumped again by ``json``'s C encoder, which writes or
+    refuses it as ``json.dumps`` does. On a 2-vCPU x86 host, a deep node
+    record of 2.7 KB, its lattices handed over, took 19 us through orjson and
+    the checks, and 66 us through ``json``'s encoder. ``json.dumps`` makes an
+    encoder on every call, so one is made here: one call a record took
+    0.3-0.8 ms more a save of a benchmark workload's final state."""
     marker, handed = "", []
 
     def hand_over(value):
@@ -149,13 +161,17 @@ def _dumper() -> typing.Callable[[typing.Any], tuple[list[str], list]]:
         {}, hand_over, json.encoder.encode_basestring_ascii, None, ":", ",",
         True, False, False)  # sort_keys, not skipkeys, not allow_nan
 
-    def dump(obj) -> tuple[list[str], list]:
+    def dump(obj) -> tuple[list[bytes], list]:
         nonlocal marker, handed
         n = 0
         while True:
             marker, quoted = _marker(n)
             handed = values = []
-            text = "".join(encoder(obj, 0))
+            # orjson calls `hand_over` in document order, as `encoder` does
+            text = _orjson_text(obj, hand_over)
+            if text is None:
+                handed = values = []
+                text = "".join(encoder(obj, 0)).encode()
             if not values:  # no marker written, so none to find
                 return [text], values
             parts = text.split(quoted)
@@ -165,11 +181,44 @@ def _dumper() -> typing.Callable[[typing.Any], tuple[list[str], list]]:
     return dump
 
 
+def _orjson_text(obj, default) -> typing.Optional[bytes]:
+    """orjson's text of ``obj``, ``default`` called for each value it cannot
+    write, where it is what ``json``'s encoder writes; else ``None``, and so
+    where orjson refuses ``obj`` with ``TypeError``. orjson writes every
+    other value as ``json`` does, but it writes a string's non-ASCII
+    characters and DEL as they are, a float below 1e-4 or from 1e16 in
+    magnitude in another notation (``0.00005`` for ``5e-05``, ``1e16`` for
+    ``1e+16`` and ``1e-7`` for ``1e-07``, each holding ``0.0000`` or an ``e``
+    before a digit or a sign), and a non-finite float, which ``json``
+    refuses, as ``null``. One search per pattern: on a deep node record of
+    2.8 KB the five searches took 8 us, where one for ``e[-0-9]|0\\.0000``
+    alone took 27 us. A text not kept is dropped before ``json`` writes its own."""
+    try:
+        text = orjson.dumps(obj, default=default, option=_ORJSON_OPTIONS)
+    except TypeError:
+        return None
+    if not text.isascii() or b"\x7f" in text or b"0.0000" in text or _EXPONENT(text):
+        return None
+    if b"null" in text:
+        try:
+            _finite_json(obj)
+        except ValueError:
+            return None
+    return text
+
+
+# orjson's options for `_dumper`: sorted keys, and every subclass, dataclass
+# and date handed to `hand_over`, which refuses it as ``json`` refuses it
+_ORJSON_OPTIONS = (orjson.OPT_SORT_KEYS | orjson.OPT_PASSTHROUGH_DATACLASS
+                   | orjson.OPT_PASSTHROUGH_DATETIME | orjson.OPT_PASSTHROUGH_SUBCLASS)
+_EXPONENT = re.compile(rb"e[-0-9]").search
+
+
 @functools.cache
-def _marker(n: int) -> tuple[str, str]:
-    """The ``n``-th marker string, and its JSON text."""
+def _marker(n: int) -> tuple[str, bytes]:
+    """The ``n``-th marker string, and its JSON text, which orjson writes too."""
     marker = f"\0ndarray {n}"
-    return marker, json.dumps(marker)
+    return marker, json.dumps(marker).encode()
 
 
 class Records:
@@ -472,9 +521,12 @@ def keyed(ident: str, objs: list) -> dict:
 
 
 def sorted_by(cls, attr: str) -> dict:
-    """The metadata of a list of ``cls`` saved in order of the attribute ``attr``."""
+    """The metadata of a list of ``cls`` saved in order of the attribute
+    ``attr``: encoded as the `Records` of its items in that order, which a
+    writer encodes and dumps one at a time, as `by_id`'s, and decoded from
+    the list of their encodings."""
     key = operator.attrgetter(attr)
-    return {"codec": (lambda objs: [encode(obj) for obj in sorted(objs, key=key)],
+    return {"codec": (lambda objs: Records(cls, tuple(sorted(objs, key=key))),
                       lambda items: [decode(cls, d) for d in items])}
 
 

@@ -2,11 +2,13 @@
 
 Save states are canonical JSON (`*.eden.json`): stable key order, shortest
 round-trip decimals, format_version gate. `save` has
-`eden.codec.canonical_pieces` dump the document but its nodes, functomes and
-payloads, and check every lattice finite, before it opens the temporary file.
-It then writes the pieces to it as bytes as they are made: each node,
-functome and payload is encoded and dumped as it is reached, and each
-lattice's text is made by orjson, so it holds one record's text at a time.
+`eden.codec.canonical_pieces` dump the document but its nodes, functomes,
+payloads and probes, and check every lattice finite, before it opens the
+temporary file. It then writes the pieces to it as bytes as they are made:
+each node, functome, payload and probe is encoded and dumped as it is
+reached, by orjson where its text is `json`'s and by `json` elsewhere, and
+each lattice's text is made by orjson, so it holds one record's text at a
+time.
 `load` is the mirror: it reads the file into one buffer,
 `eden.codec.read_lattices` parses each lattice alone with orjson, frees the
 buffer and parses the rest with `json`, and a state it does not take, not
@@ -110,8 +112,8 @@ def save(entity: Entity, path: str) -> None:
     """Write `entity` to `path` through a temporary file that replaces it.
 
     A lattice with a non-finite cell is refused before the temporary file is
-    opened. Each node, functome and payload is encoded and written as it is
-    reached, so a refusal that only its dump meets, such as a non-finite
+    opened. Each node, functome, payload and probe is encoded and written as
+    it is reached, so a refusal that only its dump meets, such as a non-finite
     number or a value `json` cannot write, raises while the file is open;
     the file is then removed and the state at `path` left as it was.
     """

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import struct
 from unittest import mock
 
 import numpy as np
@@ -106,6 +107,38 @@ class TestLatticeText:
             lattice_text(np.array([cells + [bad]]))
 
 
+def nested(depth: int, inner) -> list:
+    """``inner`` inside ``depth`` lists."""
+    for _ in range(depth):
+        inner = [inner]
+    return inner
+
+
+# JSON-like trees of the values `encode` gives: every float bit pattern, the
+# EDGES and the non-finite floats, integers up to and past 64 bits, text over
+# every code point, DEL, control characters and lone surrogates among them,
+# int and str keys, tuples, None and booleans
+json_like_trees = st.recursive(
+    st.none() | st.booleans()
+    | st.integers(0, 2 ** 64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
+    | st.sampled_from([*map(float, EDGES), *map(float, -EDGES), math.nan, math.inf, -math.inf])
+    | st.integers() | st.integers(-(2 ** 65), 2 ** 65)
+    | st.text(st.characters(exclude_categories=()) | st.sampled_from("\x00\x1f\x7f\ud800\udfff"),
+              max_size=4),
+    lambda children: (st.lists(children, max_size=4) | st.tuples(children, children)
+                      | st.dictionaries(st.text(max_size=3) | st.integers(-3, 12),
+                                        children, max_size=4)),
+    max_leaves=20)
+
+
+def written(dumps, value):
+    """The text ``dumps`` writes of ``value``, or the type and message of what it raises."""
+    try:
+        return dumps(value)
+    except (TypeError, ValueError, OverflowError, RecursionError) as exc:
+        return type(exc), str(exc)
+
+
 # the marker strings `canonical_pieces` tries first, and one hidden behind an
 # escaped quote, whose JSON text ends in the first marker's
 FORGED = ["\0ndarray 0", "\0ndarray 1", "\0ndarray 2", 'x"\0ndarray 0']
@@ -119,6 +152,25 @@ class TestDumpsCanonical:
     def test_strings_beside_arrays_as_the_oracle_writes_them(self, strings, arrays):
         doc = {"strings": strings, "arrays": arrays, "pair": [strings, arrays]}
         assert dumps_canonical(doc) == oracle(doc)
+
+    @given(json_like_trees)
+    @example({"a": "\u00e9"})  # json escapes non-ASCII
+    @example(["\x7f"])  # and DEL
+    @example([5e-05])  # orjson writes 0.00005
+    @example([1e16, 1.5e300])  # and 1e16
+    @example([1e-07])  # and 1e-7
+    @example({"a": [None, math.nan]})  # and NaN as null
+    @example({"a": None, "b": 0.5})
+    @example({2: "x", 10: None})  # json sorts int keys as numbers
+    @example({"1": 0, 1: 0})
+    @example([2 ** 64, -(2 ** 63) - 1])
+    @example(["\ud800"])  # a lone surrogate
+    @example(nested(300, 0.5))  # past orjson's depth limit
+    def test_as_json_writes_it_or_refuses_it(self, tree):
+        """Where orjson's text is not json's, or orjson refuses the value,
+        `json` writes the text or refuses the value."""
+        assert written(dumps_canonical, tree) == written(functools.partial(
+            json.dumps, sort_keys=True, separators=(",", ":"), allow_nan=False), tree)
 
 
 @st.composite
@@ -194,14 +246,20 @@ class TestSave:
     @example(seed_entity(EngineConfig(initial_nodes=2, dim_xy=2, dim_z=3, seed=4)), FORGED)
     def test_marker_strings_inside_records_saved_as_the_oracle_writes_them(
             self, tmp_path_factory, entity, strings):
-        """Strings that equal a marker in the free-form JSON of a payload and
-        of a functome, and among a node's architector targets: the node's
-        record hands its lattices over, so its dump alone tries the next
-        marker."""
+        """Strings that equal a marker in the free-form JSON of a payload, of
+        a functome and of an input probe's frame item, and among a node's
+        architector targets: the node's record hands its lattices over, so
+        its dump alone tries the next marker. A second frame item holds the
+        EDGES floats too, which ``json`` writes where orjson's notation differs."""
         assume(entity.nodes)  # a trained entity can lose every node
         entity.grid.stage(TRANSMITTER, 0, (1.0, 1.0, 1.0), 1.0, 3,
                           properties={"excitatory": 1, **dict(zip("abcd", strings))})
         entity.grid.commit()
+        item = {"offset": [0, 0, 0], "magnitude": 1.0, "index": 0}
+        entity.input_probes.append(InputProbe(
+            probe_id=-1, position=(1.0, 1.0, 1.0),
+            frames=[[{**item, "note": strings},
+                     {**item, "note": [*strings, *map(float, EDGES)]}]]))
         entity.functomes[min(entity.functomes)].metadata.update(zip("abcd", strings))
         entity.nodes[min(entity.nodes)].allowed_arch_indices.update(enumerate(strings))
         path = tmp_path_factory.mktemp("save") / "e.eden.json"
@@ -252,13 +310,6 @@ json_trees = st.recursive(
     lambda children: (st.lists(children, max_size=4)
                       | st.dictionaries(st.text(max_size=3), children, max_size=4)),
     max_leaves=30)
-
-
-def nested(depth: int, inner) -> list:
-    """``inner`` inside ``depth`` lists."""
-    for _ in range(depth):
-        inner = [inner]
-    return inner
 
 
 class TestFreeForm:

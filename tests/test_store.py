@@ -10,6 +10,7 @@ import pytest
 
 from eden.cem import GoalPlane, PwrTensor
 from eden.config import EngineConfig
+from eden.grid import TRANSMITTER
 from eden.node import ProcessNode
 from eden.runner import OutputProbe, input_probe_from_spec, run_epoch, seed_entity
 from eden import codec, store
@@ -107,16 +108,30 @@ class TestSaveLoad:
 
     def test_non_finite_number_in_a_record_leaves_the_state_as_it_was(self, tmp_path):
         """A non-finite number outside a lattice is met only as its record is
-        dumped, in the open temporary file, and refused as `json` refuses it."""
+        dumped, in the open temporary file, and refused as `json` refuses it:
+        in a node, in a payload's properties or in an input probe's frame
+        item, each of which orjson writes as null."""
         path = tmp_path / "e.eden.json"
-        entity = make_entity()
-        store.save(entity, str(path))
-        before = path.read_bytes()
-        entity.nodes[max(entity.nodes)].stability_index = float("nan")
-        with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant"):
+        for place in ("node", "payload", "probe"):
+            entity = make_entity()
             store.save(entity, str(path))
-        assert path.read_bytes() == before
-        assert os.listdir(tmp_path) == ["e.eden.json"]
+            before = path.read_bytes()
+            if place == "node":
+                entity.nodes[max(entity.nodes)].stability_index = float("nan")
+            elif place == "payload":
+                entity.grid.stage(TRANSMITTER, 0, (1.0, 1.0, 1.0), 1.0, 3,
+                                  properties={"excitatory": 1, "weight": [0.5, float("nan")]})
+                entity.grid.commit()
+            else:
+                entity.input_probes.append(input_probe_from_spec({
+                    "probe_id": 7, "position": [1.0, 1.0, 1.0],
+                    "frames": [[{"offset": [0, 0, 0], "index": 0, "magnitude": 1.0}]]}))
+                entity.input_probes[-1].frames[0][0]["note"] = {"x": None, "y": float("nan")}
+            with pytest.raises(ValueError,
+                               match="^Out of range float values are not JSON compliant"):
+                store.save(entity, str(path))
+            assert path.read_bytes() == before, place
+            assert os.listdir(tmp_path) == ["e.eden.json"], place
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(store.SaveStateError, match="not found"):
@@ -318,7 +333,11 @@ class TestPeakMemory:
 
     `save`'s peak does not grow with the number of records: 88 KiB for 16
     grow-shaped nodes and 92 KiB for 256, whose file is 15 times larger,
-    where dumping the document at once took 449 KiB and 4.7 MiB."""
+    where dumping the document at once took 449 KiB and 4.7 MiB. Nor with
+    the number of input probes, each written as its own record: 88 KiB for
+    8 probes of 32 frames beside 16 grow-shaped nodes and 89 KiB for 128,
+    whose file is 2.9 times larger, where dumping the probes with the rest
+    of the document took 261 KiB and 2.8 MiB."""
 
     @pytest.fixture(scope="class")
     def state(self, tmp_path_factory):
@@ -342,6 +361,22 @@ class TestPeakMemory:
             peaks.append(traced_peak(lambda: store.save(entity, path)))
             sizes.append(os.path.getsize(path))
         assert sizes[1] > 12 * sizes[0]
+        assert peaks[1] < 1.5 * peaks[0]
+
+    def test_save_does_not_grow_with_the_probes(self, tmp_path):
+        peaks, sizes = [], []
+        for probes in (8, 128):
+            entity = seed_entity(EngineConfig(initial_nodes=16, max_nodes=16,
+                                              dim_xy=4, dim_z=8, seed=1))
+            entity.input_probes = [input_probe_from_spec({
+                "probe_id": pid, "position": [5.0, 5.0, 5.0],
+                "frames": [[{"offset": [0.0, 0.0, 0.0], "index": f % 4, "magnitude": 2.0}]
+                           for f in range(32)]}) for pid in range(probes)]
+            path = str(tmp_path / f"{probes}.eden.json")
+            store.save(entity, path)  # fills the zero-lattice caches
+            peaks.append(traced_peak(lambda: store.save(entity, path)))
+            sizes.append(os.path.getsize(path))
+        assert sizes[1] > 2.5 * sizes[0]
         assert peaks[1] < 1.5 * peaks[0]
 
     def test_load(self, state):
